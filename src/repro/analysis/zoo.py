@@ -84,6 +84,10 @@ _PATTERN_OFFSETS = {
     "many_sided": (-4, -3, -2, -1, 1, 2, 3, 4),
 }
 
+#: Bank-edge slack for the victim search: the widest pattern's reach,
+#: so every pattern leg hammers the same victim.
+_PATTERN_MARGIN = max(abs(off) for off in _PATTERN_OFFSETS["many_sided"])
+
 #: Smoke-scale memory-spray knobs (mirrors the chaos harness).
 _SPRAY_PARAMS = {"m": 1, "region_pages": 224, "template_rounds": 3_000,
                  "hammer_ns": 4_000_000}
@@ -104,25 +108,6 @@ def _build_machine(defense: str, defense_params: Optional[Mapping],
         sanitize=True,
         strict_sanitizers=False,
     ))
-
-
-def _cheapest_victim(machine: Machine):
-    """(bank, row, threshold) of the cheapest hammerable vulnerable cell.
-
-    Rows too close to the bank edge for the widest pattern are skipped
-    so every pattern leg hammers the same victim.
-    """
-    dram = machine.dram
-    margin = max(abs(off) for off in _PATTERN_OFFSETS["many_sided"])
-    best = None
-    for bank in range(dram.geometry.num_banks):
-        for row in range(margin, dram.geometry.rows_per_bank - margin):
-            cells = dram.engine.vulnerable_cells(bank, row)
-            if cells and (best is None or cells[0].threshold < best[2]):
-                best = (bank, row, cells[0].threshold)
-    if best is None:
-        raise ConfigError("machine seed produced no vulnerable rows")
-    return best
 
 
 def _tracker_metrics(machine: Machine) -> Dict[str, object]:
@@ -163,7 +148,7 @@ def run_zoo_cell(
             f"{PATTERNS + ('spray',)}")
     machine = _build_machine(defense, defense_params, machine_name)
     dram = machine.dram
-    bank, victim, threshold = _cheapest_victim(machine)
+    bank, victim, threshold = dram.engine.cheapest_victim(_PATTERN_MARGIN)
     offsets = _PATTERN_OFFSETS[pattern]
     budget = int(1.5 * threshold)
     per_round = max(1, budget // _PATTERN_ROUNDS)

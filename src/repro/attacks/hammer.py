@@ -24,7 +24,6 @@ arithmetic that puts the minimum time-to-first-flip just above 1 ms.
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional, Sequence, Union
 
 from ..errors import AttackError
@@ -46,10 +45,9 @@ class HammerKit:
     The loop bodies now live in :class:`repro.patterns.AttackProgram`;
     the kit is the *binding* — kernel, process, per-ACT overhead and
     the batch pin — plus :meth:`run`/:meth:`run_for`, which execute any
-    pattern under that binding.  The legacy :meth:`hammer`/
-    :meth:`hammer_for` entry points remain as deprecated shims over the
-    canned :func:`~repro.patterns.program.round_robin` pattern and
-    replay bit-identically to the historical loop.
+    pattern under that binding.  A plain round-robin hammer loop is
+    ``kit.run(round_robin(len(vaddrs), iterations), vaddrs)`` (see
+    :func:`~repro.patterns.program.round_robin`).
     """
 
     def __init__(self, kernel, process: Process,
@@ -104,8 +102,7 @@ class HammerKit:
         """Round-robin hammer for a simulated duration; returns rounds.
 
         Replays one ``round_robin`` chunk per wall-step until the
-        duration elapses — the program-era replacement for the
-        deprecated :meth:`hammer_for`, with identical replay.
+        duration elapses.
         """
         if not vaddrs:
             raise AttackError("no aggressors to hammer")
@@ -118,40 +115,6 @@ class HammerKit:
             self.run(program, vaddrs)
             rounds += batch
         return rounds
-
-    # ----------------------------------------------- deprecated shims
-    def hammer(self, vaddrs: Sequence[int], iterations: int,
-               batch: int = DEFAULT_BATCH,
-               per_iter_delay_ns: int = 0) -> None:
-        """Deprecated: author an :class:`AttackProgram` and :meth:`run` it.
-
-        Hammers ``vaddrs`` round-robin for ``iterations`` rounds (one
-        round touches every aggressor once; ``per_iter_delay_ns`` models
-        extra work per round).  Kept as a thin shim over the canned
-        ``round_robin`` pattern — replay is bit-identical to the
-        historical loop.
-        """
-        warnings.warn(
-            "HammerKit.hammer is deprecated; build an AttackProgram "
-            "(e.g. repro.patterns.round_robin) and HammerKit.run it",
-            DeprecationWarning, stacklevel=2)
-        if not vaddrs:
-            raise AttackError("no aggressors to hammer")
-        if iterations <= 0:
-            return
-        self.run(round_robin(len(vaddrs), iterations, batch,
-                             per_iter_delay_ns), vaddrs)
-
-    def hammer_for(self, vaddrs: Sequence[int], duration_ns: int,
-                   batch: int = DEFAULT_BATCH,
-                   per_iter_delay_ns: int = 0) -> int:
-        """Deprecated: use :meth:`run_for` (same semantics and replay)."""
-        warnings.warn(
-            "HammerKit.hammer_for is deprecated; use HammerKit.run_for "
-            "(or author an AttackProgram)",
-            DeprecationWarning, stacklevel=2)
-        return self.run_for(vaddrs, duration_ns, batch=batch,
-                            per_iter_delay_ns=per_iter_delay_ns)
 
     # ------------------------------------------------------- row patterns
     @staticmethod

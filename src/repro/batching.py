@@ -10,22 +10,13 @@ Batching is therefore on by default.
 Setting ``REPRO_BATCH=0`` in the environment forces every component that
 consults :func:`batch_enabled` back onto the scalar path, so any paper
 benchmark can be replayed access-by-access for spot-check parity.
-
-``REPRO_DENSE`` gates the disturbance accumulator *store* the same way:
-the array-backed dense core (``repro.dram.dense``) is the default;
-``REPRO_DENSE=0`` keeps the original dict-keyed
-:class:`~repro.dram.disturbance.DisturbanceEngine` as the differential
-baseline.  The two cores are bit-identical in every observable
-(enforced by ``tests/perf/test_generative_differential.py``); the knob
-is consulted at machine construction, not per call, because the store
-layout is fixed for an engine's lifetime.
 """
 
 from __future__ import annotations
 
 import os
 
-__all__ = ["batch_enabled", "dense_enabled"]
+__all__ = ["batch_enabled"]
 
 #: Environment values that disable the batched fast paths.
 _OFF_VALUES = frozenset({"0", "false", "no", "off"})
@@ -38,18 +29,6 @@ def batch_enabled(default: bool = True) -> bool:
     bench harness can flip the knob between runs.
     """
     value = os.environ.get("REPRO_BATCH")
-    if value is None:
-        return default
-    return value.strip().lower() not in _OFF_VALUES
-
-
-def dense_enabled(default: bool = True) -> bool:
-    """Whether the array-backed dense disturbance core should be used.
-
-    Reads ``REPRO_DENSE`` at call time; consulted once per
-    :class:`~repro.dram.module.DramModule` construction.
-    """
-    value = os.environ.get("REPRO_DENSE")
     if value is None:
         return default
     return value.strip().lower() not in _OFF_VALUES

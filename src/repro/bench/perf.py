@@ -6,11 +6,8 @@ scalar and the batched execution paths:
 * **hammer** — raw DRAM activation throughput on the ``thinkpad_x230``
   profile: a scalar ``DramModule.hammer`` loop vs one
   ``DramModule.hammer_batch`` call, for a one-location stream and a
-  double-sided (alternating-aggressor) stream — on the default dense
-  (array-backed) disturbance core, plus the same two cases pinned to
-  the dict core for comparison (``*_dict`` labels).  The acceptance bar
-  for the dense core is >= 10M act/s batched one-location with
-  double-sided within 2x of it.
+  double-sided (alternating-aggressor) stream.  The acceptance bar is
+  >= 10M act/s batched one-location with double-sided within 2x of it.
 * **workload** — slices/second of a memory-bound
   :class:`~repro.workloads.base.SliceWorkload` (``hot_touch_repeat`` >
   1), scalar vs the :meth:`Kernel.user_access_run` replay path.
@@ -32,7 +29,6 @@ tool exits non-zero if any case regressed by more than 20 %.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 from typing import Callable, Dict, List, Optional, Tuple
@@ -70,18 +66,10 @@ def _dram_observables(dram) -> tuple:
     )
 
 
-def _bench_spec(dense: Optional[bool] = None):
-    spec = machine(BENCH_MACHINE)
-    if dense is not None:
-        spec = dataclasses.replace(spec, dense=dense)
-    return spec
-
-
-def _hammer_case(label: str, items, activations: int,
-                 dense: Optional[bool] = None) -> Dict[str, object]:
+def _hammer_case(label: str, items, activations: int) -> Dict[str, object]:
     """Time one scalar-loop vs one batched replay of ``items``."""
-    scalar_dram = Machine.from_parts(_bench_spec(dense)).dram
-    batched_dram = Machine.from_parts(_bench_spec(dense)).dram
+    scalar_dram = Machine.from_parts(machine(BENCH_MACHINE)).dram
+    batched_dram = Machine.from_parts(machine(BENCH_MACHINE)).dram
 
     def scalar() -> None:
         for paddr, count in items:
@@ -115,12 +103,8 @@ def bench_hammer(quick: bool) -> Dict[str, object]:
     one_loc_items = [(one_loc, 1)] * n
     double_items = [(left, 1), (right, 1)] * (n // 2)
     cases = [
-        _hammer_case("one_location", one_loc_items, n, dense=True),
-        _hammer_case("double_sided", double_items, n, dense=True),
-        # Dict-core comparison points (informational; the gate tracks
-        # whichever labels the baseline carries).
-        _hammer_case("one_location_dict", one_loc_items, n, dense=False),
-        _hammer_case("double_sided_dict", double_items, n, dense=False),
+        _hammer_case("one_location", one_loc_items, n),
+        _hammer_case("double_sided", double_items, n),
     ]
     return {"machine": BENCH_MACHINE, "cases": cases}
 

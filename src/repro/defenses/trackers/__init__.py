@@ -23,7 +23,7 @@ are common infrastructure:
   per-epoch budget are suppressed (and counted).
 
 All trackers share the feed's guarantees: bit-identical behaviour
-across scalar/batch and dict/dense execution, snapshot/restore replay,
+across scalar and batched execution, snapshot/restore replay,
 trace-on ≡ trace-off, and :func:`~repro.rng.derive_rng`-seeded
 randomness keyed by the machine seed.
 """

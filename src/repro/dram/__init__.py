@@ -24,7 +24,6 @@ from .timing import DramTimings
 from .address import AddressMapping, DramAddress, linear_mapping, interleaved_mapping
 from .disturbance import (
     DisturbanceCore,
-    DisturbanceEngine,
     DisturbanceParams,
     FlipEvent,
     VulnerableCell,
@@ -45,7 +44,6 @@ __all__ = [
     "linear_mapping",
     "interleaved_mapping",
     "DisturbanceCore",
-    "DisturbanceEngine",
     "DenseDisturbanceEngine",
     "DisturbanceParams",
     "FlipEvent",

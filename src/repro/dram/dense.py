@@ -1,19 +1,17 @@
-"""Array-backed dense disturbance core (the default accumulator store).
+"""Array-backed disturbance engine (the simulator's accumulator store).
 
-:class:`DenseDisturbanceEngine` replaces the dict-keyed accumulators of
-:class:`~repro.dram.disturbance.DisturbanceEngine` with two flat
-per-bank arrays indexed by row:
+:class:`DenseDisturbanceEngine` keeps the accumulators of
+:class:`~repro.dram.disturbance.DisturbanceCore` in two flat per-bank
+arrays indexed by row:
 
 * ``array('d')`` — accumulated disturbance units, and
 * ``array('q')`` — the refresh epoch the row was last deposited into
-  (``-1`` = never touched, the equivalent of "no dict bucket").
+  (``-1`` = never touched).
 
-The lazy auto-refresh semantics are byte-for-byte those of the dict
-core: a row's value is only meaningful when its epoch tag matches the
-current refresh epoch; a deposit into a stale-tagged row first rolls the
-tag and zeroes the value; :meth:`heal` zeroes the value but — exactly
-like the dict core's ``bucket[1] = 0.0`` — never touches the tag, so a
-healed row still reads 0 in every epoch.
+Auto-refresh is lazy: a row's value is only meaningful when its epoch
+tag matches the current refresh epoch; a deposit into a stale-tagged row
+first rolls the tag and zeroes the value; :meth:`heal` zeroes the value
+but never touches the tag, so a healed row still reads 0 in every epoch.
 
 On top of the flat store sits :meth:`hammer_periodic`, the closed-form
 kernel for the streams hammer loops actually issue (one-location,
@@ -24,9 +22,9 @@ and replays whole cycles at C speed:
 * invulnerable non-aggressor rows take one fused add for the whole span
   (the sanctioned last-ULP relaxation — such rows can never flip);
 * vulnerable non-aggressor rows get the exact sequential float cumsum
-  of their per-cycle deposit pattern (``numpy.cumsum`` when available,
-  ``itertools.accumulate`` otherwise — both bit-identical to the scalar
-  ``+=`` walk) and per-cell crossings located by binary search;
+  of their per-cycle deposit pattern (``numpy.cumsum`` for long spans,
+  ``itertools.accumulate`` for short ones — both bit-identical to the
+  scalar ``+=`` walk) and per-cell crossings located by binary search;
 * aggressor-self rows (healed mid-cycle by their own activation) are
   simulated exactly for two cycles, after which every later cycle is a
   bit-identical replica (the post-heal end value is independent of the
@@ -45,14 +43,11 @@ from bisect import bisect_left
 from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
+import numpy as _np
+
 from .disturbance import DisturbanceCore, DisturbanceParams, FlipEvent
 from .geometry import DramGeometry
 from .remap import RowRemap
-
-try:  # pragma: no cover - exercised via both branches in CI matrices
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 #: Minimum tiled-add count before the numpy cumsum pays for itself.
 _NUMPY_MIN = 192
@@ -66,7 +61,7 @@ def _exact_cumsum(carry: float, adds: List[float], reps: int):
     ``i`` is the accumulator value after ``i`` deposits.
     """
     total = len(adds) * reps
-    if _np is not None and total >= _NUMPY_MIN:
+    if total >= _NUMPY_MIN:
         arr = _np.empty(total + 1)
         arr[0] = carry
         if len(adds) == 1:
@@ -80,15 +75,13 @@ def _exact_cumsum(carry: float, adds: List[float], reps: int):
 
 def _first_reaching(cum, threshold: float) -> int:
     """Index of the first entry ``>= threshold`` (entries non-decreasing)."""
-    if _np is not None and not isinstance(cum, list):
-        return int(_np.searchsorted(cum, threshold, side="left"))
-    return bisect_left(cum, threshold)
+    if isinstance(cum, list):
+        return bisect_left(cum, threshold)
+    return int(_np.searchsorted(cum, threshold, side="left"))
 
 
 class DenseDisturbanceEngine(DisturbanceCore):
     """Disturbance engine over flat per-bank row arrays."""
-
-    supports_periodic = True
 
     def __init__(self, geometry: DramGeometry, params: DisturbanceParams,
                  remap: Optional[RowRemap] = None) -> None:
@@ -155,8 +148,8 @@ class DenseDisturbanceEngine(DisturbanceCore):
     def heal(self, bank: int, row: int) -> None:
         """Refresh (recharge) a row: accumulated disturbance is cleared.
 
-        Zeroes the value but leaves the epoch tag alone, matching the
-        dict core (whose heal never creates or re-tags a bucket).
+        Zeroes the value but leaves the epoch tag alone: a heal never
+        marks a row as touched in the current epoch.
         """
         if not 0 <= bank < len(self._values):
             return
@@ -178,9 +171,11 @@ class DenseDisturbanceEngine(DisturbanceCore):
     def vulnerable_accumulated(self, epoch: int) -> Dict[Tuple[int, int], float]:
         """Nonzero ``epoch`` accumulators of rows that can actually flip.
 
-        See :meth:`DisturbanceEngine.vulnerable_accumulated` — this is
-        the cross-core fingerprint, identical across stores because
-        vulnerable rows always take exact sequential float arithmetic.
+        The canonical state fingerprint of the differential suites.
+        Accumulators of rows with no vulnerable cells are subject to the
+        fused-add ULP relaxation, so only vulnerable rows are included
+        (they always take exact sequential float arithmetic, on every
+        replay path), and zero entries are dropped.
         """
         result: Dict[Tuple[int, int], float] = {}
         for bank, values in enumerate(self._values):
@@ -197,11 +192,25 @@ class DenseDisturbanceEngine(DisturbanceCore):
     def hammer_kernel(self, resolved, *, epoch: int, now_ns: int,
                       per_act_ns: int, window: int, origin: str,
                       trr_on, recent):
-        """Dense twin of :meth:`DisturbanceEngine.hammer_kernel`.
+        """Accumulator core of :meth:`DramModule.hammer_batch`.
 
-        Same contract, same per-item/run structure, same fused-add
-        bookkeeping for invulnerable victims — only the buckets are
-        (values, epochs) array slots instead of dict-held lists.
+        ``resolved`` is a list of ``((bank, row), count)`` pairs with
+        positive counts.  Returns ``(flips, acts, now_end, bank_totals,
+        bank_last)`` and updates the deposit/flip counters; the module
+        applies the flips, advances the clock and updates bank state.
+        The speed comes from aggregating per-(bank, row) work:
+
+        * victims that can actually flip — and every aggressor row, and
+          every victim when a tracker rides the activation feed (its
+          mid-batch refreshes interleave with deposits) — are replayed
+          deposit-by-deposit, preserving flip ordering via per-cell
+          threshold crossings;
+        * the remaining victims are invulnerable bookkeeping-only rows:
+          their accumulators take one fused ``weight * total_count`` add
+          per aggressor at the end of the batch (the sanctioned
+          last-ULP relaxation, see DESIGN.md), and pending sums are
+          dropped at refresh-epoch rollovers exactly as the scalar
+          path's lazy heal discards them.
         """
         from itertools import repeat
 
@@ -246,6 +255,8 @@ class DenseDisturbanceEngine(DisturbanceCore):
             step = count * per_act_ns
             j = i + 1
             if not trr_enabled and step > 0:
+                # Runs of identical items (the hammer-loop shape) replay
+                # through tight per-victim accumulator loops below.
                 while j < n_items and resolved[j] == item:
                     j += 1
             bank, row = key
@@ -257,6 +268,8 @@ class DenseDisturbanceEngine(DisturbanceCore):
                     epoch = now // window
                     boundary = (epoch + 1) * window
                     for p in plans.values():
+                        # The scalar path's lazy heal would discard these
+                        # old-epoch sums at the victims' next touch.
                         p[4] = 0
                 values[row] = 0.0  # own heal (tag untouched)
                 for victim, weight, cells, first in plan[2]:
@@ -288,8 +301,15 @@ class DenseDisturbanceEngine(DisturbanceCore):
                 bank_last[bank] = row
                 i = j
                 continue
-            # Run fast path, as in the dict core: tight per-victim loops
-            # over r boundary-free identical items.
+            # Run fast path: r identical activations of one aggressor in
+            # a row.  No other aggressor activates inside the run, so no
+            # heal interleaves: each victim accumulator takes the same
+            # sequential adds as the scalar loop (walked in a tight loop
+            # per victim), the aggressor's own per-item heal collapses to
+            # one idempotent heal, and cell-less victims — invulnerable
+            # rows — take the sanctioned fused add.  Flips are re-sorted
+            # into scalar (item-major, victim-minor) order by their
+            # strictly increasing timestamps.
             remaining = j - i
             values[row] = 0.0
             exact = plan[2]
@@ -300,6 +320,8 @@ class DenseDisturbanceEngine(DisturbanceCore):
                     boundary = (epoch + 1) * window
                     for p in plans.values():
                         p[4] = 0
+                # Items whose pre-item rollover check stays quiet: those
+                # with now + k*step < boundary.
                 r = (boundary - now + step - 1) // step
                 if r > remaining:
                     r = remaining
@@ -329,6 +351,8 @@ class DenseDisturbanceEngine(DisturbanceCore):
                                         from_value=cell.from_value,
                                         at_ns=at,
                                     )))
+                            # Cells at or below the accumulator can never
+                            # re-fire this epoch; track the next one up.
                             first = infinity
                             for cell in cells:
                                 if cell.threshold > value:

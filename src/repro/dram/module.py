@@ -7,7 +7,7 @@ and filters hits).  It owns
 * the memory *contents*, stored sparsely per (bank, row) so that bit
   flips can be applied directly to the row a victim cell lives in;
 * the per-bank row-buffer state (timing side channel, hammer semantics);
-* the :class:`~repro.dram.disturbance.DisturbanceEngine` producing flips;
+* the :class:`~repro.dram.dense.DenseDisturbanceEngine` producing flips;
 * the optional :class:`~repro.dram.chiptrr.ChipTrr` engine; and
 * the shared :class:`~repro.clock.SimClock`, advanced by every
   transaction's latency.
@@ -26,14 +26,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..batching import dense_enabled
 from ..clock import SimClock
 from ..errors import DramError
 from .address import AddressMapping
 from .bank import BankState, RowBufferPolicy
 from .chiptrr import ChipTrr, TrrParams
 from .dense import DenseDisturbanceEngine
-from .disturbance import DisturbanceEngine, DisturbanceParams, FlipEvent
+from .disturbance import DisturbanceParams, FlipEvent
 from .feed import ActivationFeed, RefreshActuator
 from .geometry import DramGeometry, LINE_BYTES
 from .remap import IdentityRemap, RowRemap
@@ -77,7 +76,6 @@ class DramModule:
         clock: SimClock,
         row_policy: RowBufferPolicy = RowBufferPolicy.OPEN_PAGE,
         remap: Optional[RowRemap] = None,
-        dense: Optional[bool] = None,
     ) -> None:
         self.geometry: DramGeometry = mapping.geometry
         self.mapping = mapping
@@ -89,15 +87,8 @@ class DramModule:
         #: for the disturbance engine and the TRR, and the offline
         #: domain knowledge SoftTRR consumes.
         self.remap = remap or IdentityRemap(self.geometry.rows_per_bank)
-        # Accumulator store: the array-backed dense core by default, the
-        # original dict core when dense is False (or REPRO_DENSE=0).
-        # Both are bit-identical in every observable; the dict core is
-        # kept as the differential baseline for the generative harness.
-        if dense is None:
-            dense = dense_enabled()
-        engine_cls = DenseDisturbanceEngine if dense else DisturbanceEngine
-        self.engine = engine_cls(self.geometry, disturbance,
-                                 remap=self.remap)
+        self.engine = DenseDisturbanceEngine(self.geometry, disturbance,
+                                             remap=self.remap)
         # The three defense layers meet here: every activation is
         # published through the feed (observation), subscribed trackers
         # decide who to refresh (policy), and the shared actuator heals
@@ -215,10 +206,9 @@ class DramModule:
           with pending sums dropped at refresh-epoch rollovers exactly
           as the scalar path's lazy heal discards them;
         * when the raw item stream is periodic (the shape every hammer
-          loop emits) and the engine supports it, the closed-form
-          periodic kernel (``engine.hammer_periodic``) replays whole
-          aggressor cycles per refresh-epoch segment instead of per
-          item.
+          loop emits), the closed-form periodic kernel
+          (``engine.hammer_periodic``) replays whole aggressor cycles
+          per refresh-epoch segment instead of per item.
         """
         if not isinstance(items, list):
             items = list(items)
@@ -237,8 +227,7 @@ class DramModule:
         # per-item Python loop runs at all.
         cycle = None
         n_items = len(items)
-        if (engine.supports_periodic and not feed_active
-                and per_act_ns > 0 and n_items >= 8):
+        if not feed_active and per_act_ns > 0 and n_items >= 8:
             p = _detect_period(items)
             if p is not None and all(c > 0 for _paddr, c in items[:p]):
                 cycle = []

@@ -118,7 +118,11 @@ def run_window_cell(
     protection story (flips, refreshes, windows covered, erosion under
     an active fault plan) plus the raw span histograms.
     """
-    from ..analysis.zoo import TINY_DEFENSE_PARAMS, _PATTERN_OFFSETS
+    from ..analysis.zoo import (
+        _PATTERN_MARGIN,
+        _PATTERN_OFFSETS,
+        TINY_DEFENSE_PARAMS,
+    )
     from ..machine import Machine, MachineConfig
 
     if pattern not in WINDOW_PATTERNS:
@@ -141,7 +145,7 @@ def run_window_cell(
         trace="spans",
     ))
     dram = machine.dram
-    bank, victim, threshold = _cheapest_victim(machine, _PATTERN_OFFSETS)
+    bank, victim, threshold = dram.engine.cheapest_victim(_PATTERN_MARGIN)
     offsets = _PATTERN_OFFSETS[pattern]
     budget = int(budget_factor * threshold)
     per_round = max(1, budget // max(1, rounds))
@@ -182,26 +186,6 @@ def run_window_cell(
         "span_histograms": machine.telemetry.span_histograms(),
     }
     return payload
-
-
-def _cheapest_victim(machine, pattern_offsets):
-    """(bank, row, threshold) of the cheapest hammerable victim.
-
-    Mirrors the zoo's search; rows too close to the bank edge for the
-    widest pattern are skipped so every pattern hits the same victim.
-    """
-    dram = machine.dram
-    margin = max(max(abs(off) for off in offsets)
-                 for offsets in pattern_offsets.values())
-    best = None
-    for bank in range(dram.geometry.num_banks):
-        for row in range(margin, dram.geometry.rows_per_bank - margin):
-            cells = dram.engine.vulnerable_cells(bank, row)
-            if cells and (best is None or cells[0].threshold < best[2]):
-                best = (bank, row, cells[0].threshold)
-    if best is None:
-        raise ConfigError("machine seed produced no vulnerable rows")
-    return best
 
 
 def _window_erosion_ns(machine, fault_plan: Optional[Mapping],

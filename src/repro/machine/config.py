@@ -68,10 +68,6 @@ class MachineConfig:
     sanitize: bool = False
     strict_sanitizers: bool = False
     batch: Optional[bool] = None
-    #: Disturbance accumulator store: ``True`` pins the array-backed
-    #: dense core, ``False`` the dict core, ``None`` (default) consults
-    #: the ``REPRO_DENSE`` environment knob at DRAM construction.
-    dense: Optional[bool] = None
     #: Override the machine profile's seed (None = profile default).
     seed: Optional[int] = None
     #: Deterministic fault plan installed at assembly (``repro.faults``).
@@ -117,11 +113,8 @@ class MachineConfig:
         else:
             factory = None
         kwargs = {} if self.seed is None else {"seed": self.seed}
-        spec = (factory(**kwargs) if factory is not None
+        return (factory(**kwargs) if factory is not None
                 else machine_spec(self.machine, **kwargs))
-        if self.dense is not None:
-            spec = replace(spec, dense=self.dense)
-        return spec
 
     def build_defense(self):
         """Fresh defense instance for this config."""

@@ -13,16 +13,15 @@ share one plan format:
 * ``mode="user"`` — ``act`` rows index an aggressor *vaddr* list; each
   run goes clflush + ``kernel.user_read`` (the architecturally visible
   access that takes SoftTRR's RSVD fault) followed by a batched burst
-  for the run's remainder — exactly the hybrid loop the legacy
-  ``HammerKit.hammer`` established, reproduced bit-identically (the
-  differential suite pins this).
+  for the run's remainder (the hybrid loop described in
+  :mod:`repro.attacks.hammer`).
 
 Kernel timers are dispatched at every plan-step boundary in both modes,
 so SoftTRR's tick interleaves with hammering at authored granularity.
 
-``round_robin`` builds the canned pattern behind the deprecated
-``HammerKit.hammer`` menu: the whole legacy attack stack now lowers
-through this module.
+``round_robin`` builds the canned plain hammer loop that the attack
+stack (flip templating, ``HammerKit.run_for``) lowers through this
+module.
 """
 
 from __future__ import annotations
@@ -75,8 +74,8 @@ class AttackProgram:
     machine and executed many times.
 
     ``act_ns`` is the inter-ACT overhead beyond the conflict latency
-    (user mode defaults to :data:`DEFAULT_EXTRA_NS`, matching the
-    legacy hammer loop); ``use_batch`` pins the batched backend on/off
+    (user mode defaults to :data:`DEFAULT_EXTRA_NS`, the clflush +
+    loop overhead of a hammer loop); ``use_batch`` pins the batched backend on/off
     (``None`` consults the ``REPRO_BATCH`` knob per run);
     ``dispatch_timers=False`` suppresses the per-step kernel timer
     dispatch for raw-DRAM micro-benches.
@@ -261,23 +260,22 @@ def _run_user(kernel, process, aggressors: Sequence[int],
 def round_robin(aggressors: int, iterations: int,
                 batch: int = DEFAULT_BATCH,
                 per_iter_delay_ns: int = 0) -> Pattern:
-    """The legacy hammer loop as a pattern: ``iterations`` rounds over
+    """The plain hammer loop as a pattern: ``iterations`` rounds over
     ``aggressors`` vaddr slots, chunked ``batch`` rounds at a time.
 
     Each chunk touches every aggressor for the chunk's round count in
     one run (MMU access + batched burst in user mode), then waits
-    ``rounds * per_iter_delay_ns`` and syncs (timer dispatch) — the
-    exact structure of the deprecated ``HammerKit.hammer``, so replays
-    are bit-identical to the legacy loop.
+    ``rounds * per_iter_delay_ns`` and syncs (timer dispatch).  Run it
+    with ``HammerKit(kernel, process).run(round_robin(len(vaddrs),
+    iterations), vaddrs)``.
     """
     if aggressors < 1:
         raise AttackError("no aggressors to hammer")
     if batch < 1:
         raise PatternError(f"batch must be >= 1, got {batch}")
     if iterations <= 0:
-        # An empty program is a PatternError at compile time; mirror
-        # the legacy loop's silent no-op with a zero-step sentinel the
-        # callers guard against instead.
+        # An empty program is a PatternError at compile time anyway;
+        # say which argument made it empty.
         raise PatternError(
             f"iterations must be >= 1, got {iterations}")
     body: List[object] = []

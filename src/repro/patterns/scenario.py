@@ -25,7 +25,7 @@ flip threshold, split across :data:`DEFAULT_ROUNDS` interleaved rounds.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from ..errors import AttackError, ConfigError, PatternError
 from .compile import CompiledPlan, compile_pattern
@@ -129,21 +129,6 @@ def _build_machine(defense: str, defense_params: Optional[Mapping],
     ))
 
 
-def _cheapest_victim(machine, margin: int) -> Tuple[int, int, float]:
-    """(bank, row, threshold) of the cheapest victim the pattern fits
-    around (``margin`` rows of slack to each bank edge)."""
-    dram = machine.dram
-    best = None
-    for bank in range(dram.geometry.num_banks):
-        for row in range(margin, dram.geometry.rows_per_bank - margin):
-            cells = dram.engine.vulnerable_cells(bank, row)
-            if cells and (best is None or cells[0].threshold < best[2]):
-                best = (bank, row, cells[0].threshold)
-    if best is None:
-        raise ConfigError("machine seed produced no vulnerable rows")
-    return best
-
-
 def run_pattern_cell(
     source,
     defense: str = "vanilla",
@@ -196,7 +181,8 @@ def _run_rows_cell(pat, defense, defense_params, machine_name, seed,
     if relative:
         offsets = _probe_offsets(pat, bindings)
         margin = max(abs(off) for off in offsets)
-        bank, victim, threshold = _cheapest_victim(machine, margin)
+        bank, victim, threshold = machine.dram.engine.cheapest_victim(
+            margin)
         final = _budget_bindings(pat, {**bindings, "victim": 0},
                                  threshold, budget_factor)
         plan = compile_pattern(pat, final).remap_targets(

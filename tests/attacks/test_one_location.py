@@ -17,6 +17,7 @@ from repro.dram.timing import DDR3_TIMINGS
 from repro.kernel.kernel import Kernel
 from repro.kernel.vma import PAGE
 from repro.attacks.hammer import HammerKit
+from repro.patterns import round_robin
 
 
 def machine(policy: RowBufferPolicy) -> MachineSpec:
@@ -69,7 +70,7 @@ class TestOneLocationHammer:
         kit = HammerKit(kernel, proc)
         paddr = kit.paddr_of(span)
         bank, row = kernel.dram.mapping.row_of(paddr)
-        kit.hammer([span], 4000)  # a single aggressor address
+        kit.run(round_robin(1, 4000), [span])  # a single aggressor address
         flips = [f for f in kernel.dram.flip_log
                  if f.bank == bank and abs(f.row - row) <= 6]
         assert flips, "one-location hammer must flip on closed-page policy"

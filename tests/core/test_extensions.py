@@ -12,6 +12,7 @@ from repro.core.softtrr import SoftTrr
 from repro.errors import ConfigError, SoftTrrError
 from repro.kernel.kernel import Kernel
 from repro.kernel.vma import HUGE, PAGE
+from repro.patterns import round_robin
 
 TINY = dict(timer_inr_ns=50_000)
 
@@ -168,7 +169,7 @@ class TestProtectedObjects:
             pytest.skip("attacker got no frames around the code page")
         kernel.clock.advance(2 * 50_000)
         kernel.dispatch_timers()
-        kit.hammer(aggressors[:2], 6000)
+        kit.run(round_robin(2, 6000), aggressors[:2])
         after = kernel.dram.raw_read(code_ppn << 12, PAGE)
         assert after == opcodes, "protected object was corrupted"
         assert module.refresher.refreshes > 0
@@ -198,7 +199,7 @@ class TestProtectedObjects:
                 aggressors.append(va)
         if len(aggressors) < 2:
             pytest.skip("attacker got no frames adjacent to the code page")
-        kit.hammer(aggressors[:2], 8000)
+        kit.run(round_robin(2, 8000), aggressors[:2])
         flips = [f for f in kernel.dram.flip_log
                  if f.bank == bank and f.row == row]
         assert flips, "the control hammer should have flipped the row"

@@ -27,6 +27,7 @@ from repro.kernel.kernel import Kernel
 from repro.kernel.physmem import FrameUse
 from repro.kernel.vma import PAGE
 from repro.attacks.hammer import HammerKit
+from repro.patterns import round_robin
 
 #: Victim logical row 10 sits at physical 9; its physical neighbour 8
 #: holds logical row 8 — logically TWO apart, so the Δ±1 adjacency sets
@@ -79,7 +80,7 @@ def hammer_scenario(max_distance: int, assume_remap=None):
     kernel.clock.advance(100_000)
     kernel.dispatch_timers()
     kit = HammerKit(kernel, attacker)
-    kit.hammer([aggr_vaddr], 4000)
+    kit.run(round_robin(1, 4000), [aggr_vaddr])
     flips = [f for f in kernel.dram.flip_log
              if f.bank == 0 and f.row == VICTIM_LOGICAL]
     return flips, module

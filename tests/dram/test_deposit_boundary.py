@@ -8,24 +8,26 @@ never re-fires while the accumulator sits at or above the threshold —
 double-fires cells (every deposit past the threshold would flip again)
 or delays every flip by one deposit, so the exact semantics are pinned
 down to the boundary values, for the scalar :meth:`deposit` and for
-:meth:`deposit_batch` — on both accumulator stores (the dict core and
-the array-backed dense core), which must agree bit for bit.
+:meth:`deposit_batch` — on both accumulator stores (the shipped
+array-backed dense store and the dict-keyed reference store in
+``tests/reference_disturbance.py``), which must agree bit for bit.
 """
 
 import pytest
 
 from repro.dram.dense import DenseDisturbanceEngine
 from repro.dram.disturbance import (
-    DisturbanceEngine,
     DisturbanceParams,
     VulnerableCell,
     crosses,
 )
 from repro.dram.geometry import DramGeometry
 
+from ..reference_disturbance import ReferenceDisturbanceEngine
 
-@pytest.fixture(params=[DisturbanceEngine, DenseDisturbanceEngine],
-                ids=["dict", "dense"])
+
+@pytest.fixture(params=[ReferenceDisturbanceEngine,
+                        DenseDisturbanceEngine], ids=["dict", "dense"])
 def engine_cls(request):
     return request.param
 

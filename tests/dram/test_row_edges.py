@@ -11,20 +11,25 @@ import pytest
 
 from repro.dram.dense import DenseDisturbanceEngine
 from repro.dram.disturbance import (
-    DisturbanceEngine,
     DisturbanceParams,
     VulnerableCell,
 )
 from repro.dram.geometry import DramGeometry
 from repro.machine import Machine
 
+from ..reference_disturbance import (
+    STORES,
+    ReferenceDisturbanceEngine,
+    use_store,
+)
+
 ROWS = 64
 LAST = ROWS - 1
 EDGE_ROWS = [0, LAST]
 
 
-@pytest.fixture(params=[DisturbanceEngine, DenseDisturbanceEngine],
-                ids=["dict", "dense"])
+@pytest.fixture(params=[ReferenceDisturbanceEngine,
+                        DenseDisturbanceEngine], ids=["dict", "dense"])
 def engine_cls(request):
     return request.param
 
@@ -147,10 +152,11 @@ class TestModuleEdgeHammer:
     @pytest.mark.parametrize("row", [0, None])  # None = last row
     def test_one_location_at_the_edge_is_core_invariant(self, row):
         results = {}
-        for dense in (True, False):
+        for store in STORES:
             for batched in (True, False):
-                m = Machine(machine="tiny", dense=dense)
+                m = Machine(machine="tiny")
                 dram = m.dram
+                use_store(dram, store)
                 edge = row if row is not None else (
                     dram.geometry.rows_per_bank - 1)
                 paddr = dram.mapping.dram_to_phys(0, edge, 0)
@@ -161,26 +167,27 @@ class TestModuleEdgeHammer:
                     for p, count in items:
                         dram.hammer(p, count)
                         dram.clock.advance(count * 15)
-                results[(dense, batched)] = (
+                results[(store, batched)] = (
                     tuple(dram.flip_log), m.clock.now_ns,
                     dram.total_activations,
                     dram.engine.total_deposits,
                     dram.engine.vulnerable_accumulated(dram._epoch()))
-        base = results[(True, True)]
+        base = results[("dense", True)]
         assert all(result == base for result in results.values())
 
     def test_double_sided_pinning_both_edges(self):
         # Aggressors at both bank edges at once: the dense periodic
         # kernel sees two clipped neighbourhoods in one cycle.
         results = {}
-        for dense in (True, False):
-            m = Machine(machine="tiny", dense=dense)
+        for store in STORES:
+            m = Machine(machine="tiny")
             dram = m.dram
+            use_store(dram, store)
             last = dram.geometry.rows_per_bank - 1
             items = [(dram.mapping.dram_to_phys(0, 0, 0), 5),
                      (dram.mapping.dram_to_phys(0, last, 0), 5)] * 400
             dram.hammer_batch(items, extra_ns=0)
-            results[dense] = (tuple(dram.flip_log), m.clock.now_ns,
+            results[store] = (tuple(dram.flip_log), m.clock.now_ns,
                               dram.total_activations,
                               dram.engine.total_deposits)
-        assert results[True] == results[False]
+        assert results["dense"] == results["dict"]

@@ -6,17 +6,21 @@ carry them (plain ``deepcopy`` does) so that a restore mid-epoch — with
 partially-filled accumulators that have *not* yet crossed a threshold —
 replays to bit-identical FlipEvents and ``telemetry.as_flat_dict()``,
 with the batched and the scalar replay alike, and identically on the
-dict core.
+dict-keyed reference store.
 """
 
 import pytest
 
 from repro.machine import Machine
 
+from ..reference_disturbance import STORES, use_store
 
-def _machine(dense):
-    return Machine(machine="tiny", dense=dense, sanitize=True,
-                   strict_sanitizers=True)
+
+def _machine(store):
+    machine = Machine(machine="tiny", sanitize=True,
+                      strict_sanitizers=True)
+    use_store(machine.dram, store)
+    return machine
 
 
 def _victim_and_aggressors(machine):
@@ -60,12 +64,12 @@ def _finish(machine, paddrs, batched):
 
 
 class TestDenseSnapshotRestore:
-    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "dict"])
+    @pytest.mark.parametrize("store", STORES)
     @pytest.mark.parametrize("batched", [True, False],
                              ids=["batch", "scalar"])
-    def test_mid_epoch_restore_replays_bit_identically(self, dense,
+    def test_mid_epoch_restore_replays_bit_identically(self, store,
                                                        batched):
-        m = _machine(dense)
+        m = _machine(store)
         row, paddrs = _victim_and_aggressors(m)
         # Partially fill the victim's accumulator mid-epoch: below every
         # threshold, so the flips must come from the replay itself.
@@ -83,7 +87,7 @@ class TestDenseSnapshotRestore:
     def test_batch_and_scalar_replays_agree_after_restore(self):
         results = {}
         for batched in (True, False):
-            m = _machine(dense=True)
+            m = _machine("dense")
             _row, paddrs = _victim_and_aggressors(m)
             _charge(m, paddrs, 300)
             snap = m.snapshot()
@@ -94,20 +98,20 @@ class TestDenseSnapshotRestore:
 
     def test_cores_agree_through_snapshot_restore(self):
         results = {}
-        for dense in (True, False):
-            m = _machine(dense)
+        for store in STORES:
+            m = _machine(store)
             _row, paddrs = _victim_and_aggressors(m)
             _charge(m, paddrs, 300)
             snap = m.snapshot()
             _finish(m, paddrs, batched=True)
             m.restore(snap)
-            results[dense] = _finish(m, paddrs, batched=True)
-        assert results[True] == results[False]
+            results[store] = _finish(m, paddrs, batched=True)
+        assert results["dense"] == results["dict"]
 
     def test_snapshot_isolates_the_arrays(self):
         # The restored engine's arrays must be copies, not views: more
         # hammering before restore must not leak into the snapshot.
-        m = _machine(dense=True)
+        m = _machine("dense")
         row, paddrs = _victim_and_aggressors(m)
         _charge(m, paddrs, 100)
         partial = m.dram.engine.accumulated(0, row, m.dram._epoch())
@@ -121,7 +125,7 @@ class TestDenseSnapshotRestore:
         # Roll into the next refresh epoch after the snapshot: restore
         # must bring back both the values and the epoch tags (a stale
         # tag reads as zero in the new epoch).
-        m = _machine(dense=True)
+        m = _machine("dense")
         row, paddrs = _victim_and_aggressors(m)
         _charge(m, paddrs, 300)
         epoch = m.dram._epoch()

@@ -2,7 +2,7 @@
 
 The compile pipeline fixes step boundaries; execution only chooses a
 backend.  So a compiled plan run through :class:`AttackProgram` —
-batched or scalar, dense or dict disturbance core — must be
+batched or scalar, dense or dict-keyed reference store — must be
 bit-identical to a hand-written scalar replay of the same plan:
 identical FlipEvents, counters, simulated nanoseconds and telemetry,
 under strict sanitizers.  Plus: the DSL double-sided pattern reproduces
@@ -16,17 +16,23 @@ from repro.machine import Machine, MachineConfig
 from repro.patterns import AttackProgram, compile_pattern, sided_pattern
 from repro.patterns.compile import CompiledPlan
 
+from ..reference_disturbance import use_store
+
 SEED = 11
 
 
-def build(defense="vanilla", dense=None, defense_params=None):
+def build(defense="vanilla", dense=True, defense_params=None):
+    """A strict-sanitized tiny machine on the shipped dense store, or on
+    the dict-keyed reference store when ``dense`` is false."""
     from repro.analysis.zoo import TINY_DEFENSE_PARAMS
 
     params = dict(TINY_DEFENSE_PARAMS.get(defense, {}))
     params.update(defense_params or {})
-    return Machine(MachineConfig(
+    machine = Machine(MachineConfig(
         machine="tiny", defense=defense, defense_params=params,
-        sanitize=True, strict_sanitizers=True, dense=dense, seed=SEED))
+        sanitize=True, strict_sanitizers=True, seed=SEED))
+    use_store(machine.dram, "dense" if dense else "dict")
+    return machine
 
 
 def bank0_victim(machine, margin):
@@ -105,10 +111,11 @@ def test_dsl_double_sided_matches_legacy_attack_stream():
     """Acceptance bar: the DSL-authored double-sided pattern reproduces
     the legacy zoo double-sided loop's FlipEvent stream bit-identically
     on the same machine seed."""
-    from repro.analysis.zoo import _PATTERN_ROUNDS, _cheapest_victim
+    from repro.analysis.zoo import _PATTERN_MARGIN, _PATTERN_ROUNDS
 
     legacy = build()
-    bank, victim, threshold = _cheapest_victim(legacy)
+    bank, victim, threshold = legacy.dram.engine.cheapest_victim(
+        _PATTERN_MARGIN)
     per_round = max(1, int(1.5 * threshold) // _PATTERN_ROUNDS)
     dram = legacy.dram
     aggressors = [dram.mapping.dram_to_phys(bank, victim + off, 0)

@@ -1,11 +1,10 @@
 """The unified attack-authoring API: AttackProgram + HammerKit.
 
-Covers the redesign's contract: the deprecated ``hammer``/
-``hammer_for`` shims warn but replay bit-identically to an explicitly
-authored :func:`round_robin` program; ``HammerKit.run`` accepts every
+Covers the redesign's contract: ``HammerKit.run`` accepts every
 program spelling (AttackProgram, Pattern, CompiledPlan, DSL source)
 under the kit's binding; and every misuse — wrong mode, missing
-process, bank ≠ 0, out-of-range aggressor index — is a loud error.
+process, no aggressors, bank ≠ 0, out-of-range aggressor index — is a
+loud error.
 """
 
 import dataclasses
@@ -34,42 +33,6 @@ def make_kit(n_pages=4, use_batch=None):
 def fingerprint(kernel, kit):
     return (tuple(kernel.dram.flip_log), kernel.clock.now_ns,
             kernel.dram.total_activations, kit.total_activations)
-
-
-# ------------------------------------------------------ deprecated shims
-def test_hammer_shim_warns_and_matches_explicit_program():
-    legacy_kernel, _, legacy_kit, legacy_vaddrs = make_kit()
-    with pytest.deprecated_call():
-        legacy_kit.hammer(legacy_vaddrs, 300)
-
-    kernel, _, kit, vaddrs = make_kit()
-    outcome = kit.run(round_robin(len(vaddrs), 300), vaddrs)
-    assert fingerprint(kernel, kit) == fingerprint(legacy_kernel,
-                                                   legacy_kit)
-    assert outcome.activations == kit.total_activations
-
-
-def test_hammer_for_shim_warns_and_matches_run_for():
-    legacy_kernel, _, legacy_kit, legacy_vaddrs = make_kit()
-    with pytest.deprecated_call():
-        legacy_rounds = legacy_kit.hammer_for(legacy_vaddrs, 200_000)
-
-    kernel, _, kit, vaddrs = make_kit()
-    rounds = kit.run_for(vaddrs, 200_000)
-    assert rounds == legacy_rounds > 0
-    assert fingerprint(kernel, kit) == fingerprint(legacy_kernel,
-                                                   legacy_kit)
-
-
-def test_hammer_shim_guards_still_apply():
-    _, _, kit, vaddrs = make_kit()
-    # The warning fires before the guard, so both are observable.
-    with pytest.deprecated_call(), pytest.raises(AttackError,
-                                                 match="no aggressors"):
-        kit.hammer([], 10)
-    with pytest.deprecated_call():
-        kit.hammer(vaddrs, 0)  # non-positive iterations: silent no-op
-    assert kit.total_activations == 0
 
 
 # -------------------------------------------------------- HammerKit.run
@@ -121,6 +84,17 @@ def test_user_mode_needs_process_and_aggressors():
         program.run(kernel)
     with pytest.raises(AttackError, match="no aggressors"):
         program.run(kernel, process, [])
+
+
+def test_round_robin_and_run_for_guards():
+    _, _, kit, _ = make_kit()
+    with pytest.raises(AttackError, match="no aggressors"):
+        round_robin(0, 10)
+    with pytest.raises(AttackError, match="no aggressors"):
+        kit.run_for([], 10)
+    with pytest.raises(PatternError, match="iterations"):
+        round_robin(2, 0)
+    assert kit.total_activations == 0
 
 
 def test_user_mode_validates_plan_targets():

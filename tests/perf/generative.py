@@ -1,4 +1,4 @@
-"""Generative differential harness for the disturbance cores.
+"""Generative differential harness for the disturbance stores.
 
 Draws seeded random *hammer programs* — mixed one-location /
 double-sided / many-sided aggressor sets, irregular (aperiodic) bursts,
@@ -9,11 +9,14 @@ replays each program four ways on a strict-sanitized tiny machine:
 ======  =========  ==============================================
 store   replay     what it exercises
 ======  =========  ==============================================
-dict    batched    the dict core's run-grouped batch kernel
+dict    batched    the reference store's run-grouped batch kernel
 dict    scalar     the reference semantics, item by item
-dense   batched    the array core's periodic + generic kernels
-dense   scalar     the array core's scalar deposit path
+dense   batched    the shipped store's periodic + generic kernels
+dense   scalar     the shipped store's scalar deposit path
 ======  =========  ==============================================
+
+``dense`` is the simulator's store; ``dict`` is the independent
+reference store in ``tests/reference_disturbance.py``.
 
 All four must produce bit-identical FlipEvent streams, DRAM bytes,
 counters, simulated nanoseconds and ``telemetry.as_flat_dict()``.  On a
@@ -42,12 +45,14 @@ from functools import lru_cache
 from repro.machine import Machine, MachineConfig
 from repro.rng import derive_rng
 
-#: Modes the differential covers: (dense_core, batched_replay).
+from ..reference_disturbance import use_store
+
+#: Modes the differential covers: (label, store, batched_replay).
 MODES = (
-    ("dict/scalar", False, False),
-    ("dict/batch", False, True),
-    ("dense/scalar", True, False),
-    ("dense/batch", True, True),
+    ("dict/scalar", "dict", False),
+    ("dict/batch", "dict", True),
+    ("dense/scalar", "dense", False),
+    ("dense/batch", "dense", True),
 )
 
 #: Tiny-machine-scaled parameters per defense, tuned so the policies
@@ -178,16 +183,17 @@ def generate_program(seed: int):
     return tuple(ops)
 
 
-def run_program(program, *, dense: bool, batched: bool,
+def run_program(program, *, store: str, batched: bool,
                 defense: str = "vanilla", fault_plan=None):
     """Execute ``program`` on a fresh machine; return its fingerprint."""
     config = MachineConfig(
-        machine="tiny", dense=dense, batch=batched,
+        machine="tiny", batch=batched,
         sanitize=True, strict_sanitizers=True, defense=defense,
         defense_params=DEFENSE_PARAMS.get(defense, {}),
         fault_plan=fault_plan)
     machine = Machine(config)
     dram = machine.dram
+    use_store(dram, store)
     snap = None
     for op in program:
         kind = op[0]
@@ -240,16 +246,16 @@ def fingerprint(machine):
 
 def mismatch(program, **kwargs) -> bool:
     """True when the four modes disagree on ``program``."""
-    results = [run_program(program, dense=dense, batched=batched, **kwargs)
-               for _label, dense, batched in MODES]
+    results = [run_program(program, store=store, batched=batched, **kwargs)
+               for _label, store, batched in MODES]
     return any(result != results[0] for result in results[1:])
 
 
 def describe_mismatch(program, **kwargs) -> str:
     """Which modes and which fingerprint keys disagree."""
-    results = {label: run_program(program, dense=dense, batched=batched,
+    results = {label: run_program(program, store=store, batched=batched,
                                   **kwargs)
-               for label, dense, batched in MODES}
+               for label, store, batched in MODES}
     base_label, *_rest = results
     base = results[base_label]
     lines = []

@@ -7,9 +7,11 @@ touches and :class:`HammerKit`'s batched burst — must be *semantically
 identical* to the scalar code it replaces: identical DRAM bytes,
 identical ``FlipEvent`` streams (including timestamps), identical
 simulated nanoseconds, and identical counters in every layer the
-evaluation reads.  These tests run each scenario twice on freshly built
-machines — scalar and batched — under ``MachineSpec(sanitize=True)``
-(PR 1's strict runtime invariants) and compare a full fingerprint.
+evaluation reads.  These tests run each scenario four times on freshly
+built machines — scalar and batched, on the shipped dense store and on
+the dict-keyed reference store (``tests/reference_disturbance.py``) —
+under ``MachineSpec(sanitize=True)`` (the strict runtime invariants)
+and compare a full fingerprint.
 
 The one sanctioned relaxation: raw accumulator floats of rows with *no*
 vulnerable cells may differ in the last ULPs (fused ``weight * count``
@@ -29,21 +31,27 @@ from repro.core.softtrr import SoftTrr
 from repro.dram.bank import RowBufferPolicy
 from repro.kernel.kernel import Kernel
 from repro.kernel.vma import PAGE
+from repro.patterns import round_robin
 from repro.rng import derive_rng
 from repro.workloads.base import SliceWorkload, WorkloadProfile
 
+from ..reference_disturbance import STORES, use_store
 
-def strict(spec):
-    """The spec with PR 1's runtime sanitizers armed."""
-    return dataclasses.replace(spec, sanitize=True)
+
+def build_kernel(spec, store):
+    """A kernel on ``spec`` with the runtime sanitizers armed, its DRAM
+    on the named accumulator store."""
+    kernel = Kernel(dataclasses.replace(spec, sanitize=True))
+    use_store(kernel.dram, store)
+    return kernel
 
 
 def dram_fingerprint(dram):
     """Every DRAM-level observable the equivalence claim covers."""
     engine = dram.engine
-    # The canonical cross-core fingerprint: nonzero current-epoch
-    # accumulators of vulnerable rows, identical across the dict and
-    # dense stores and across scalar/batched/periodic replay.
+    # The canonical cross-store fingerprint: nonzero current-epoch
+    # accumulators of vulnerable rows, identical across the dense and
+    # reference stores and across scalar/batched/periodic replay.
     vulnerable_acc = engine.vulnerable_accumulated(dram._epoch())
     return {
         "rows": {key: bytes(data) for key, data in dram._rows.items()},
@@ -91,11 +99,25 @@ def assert_same(scalar, batched):
     assert set(scalar) == set(batched)
 
 
+def assert_equivalent(scenario):
+    """``scenario(store, batched)`` returns a fingerprint; the scalar and
+    batched runs must agree on each store, and the stores with each
+    other."""
+    base = scenario(STORES[0], False)
+    for store in STORES:
+        for batched in (False, True):
+            if (store, batched) != (STORES[0], False):
+                assert_same(base, scenario(store, batched))
+
+
 # --------------------------------------------------------------------------
 # DRAM level: hammer_batch vs a scalar hammer loop
 # --------------------------------------------------------------------------
 
-def _scalar_hammer(dram, items, extra_ns=0):
+def _hammer(dram, items, batched, extra_ns=0):
+    if batched:
+        dram.hammer_batch(items, extra_ns=extra_ns)
+        return
     for paddr, count in items:
         dram.hammer(paddr, count)
         if extra_ns:
@@ -106,49 +128,45 @@ def _scalar_hammer(dram, items, extra_ns=0):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_hammer_batch_random_streams(name, seed):
     """Seeded streams mixing runs, singles and counts, per machine."""
-    rng = derive_rng("diff-hammer", name, seed)
-    scalar_dram = Kernel(strict(machine(name))).dram
-    batched_dram = Kernel(strict(machine(name))).dram
-    items = []
-    for _ in range(120):
-        bank = rng.randrange(scalar_dram.geometry.num_banks)
-        row = rng.randrange(16, 48)
-        paddr = scalar_dram.mapping.dram_to_phys(bank, row, 0)
-        count = rng.choice([1, 1, 2, 7, 99])
-        items.extend([(paddr, count)] * rng.choice([1, 1, 4, 40]))
-    _scalar_hammer(scalar_dram, items)
-    batched_dram.hammer_batch(items)
-    assert_same(dram_fingerprint(scalar_dram),
-                dram_fingerprint(batched_dram))
+    def scenario(store, batched):
+        dram = build_kernel(machine(name), store).dram
+        rng = derive_rng("diff-hammer", name, seed)
+        items = []
+        for _ in range(120):
+            bank = rng.randrange(dram.geometry.num_banks)
+            row = rng.randrange(16, 48)
+            paddr = dram.mapping.dram_to_phys(bank, row, 0)
+            count = rng.choice([1, 1, 2, 7, 99])
+            items.extend([(paddr, count)] * rng.choice([1, 1, 4, 40]))
+        _hammer(dram, items, batched)
+        return dram_fingerprint(dram)
+
+    assert_equivalent(scenario)
 
 
 def test_hammer_batch_with_chiptrr_interleaving():
     """ChipTRR's mid-batch refreshes force the per-item replay."""
-    scalar_dram = Kernel(strict(tiny_machine(seed=7, trr=True))).dram
-    batched_dram = Kernel(strict(tiny_machine(seed=7, trr=True))).dram
-    left = scalar_dram.mapping.dram_to_phys(0, 29, 0)
-    right = scalar_dram.mapping.dram_to_phys(0, 31, 0)
-    items = [(left, 1), (right, 1)] * 2000
-    _scalar_hammer(scalar_dram, items)
-    batched_dram.hammer_batch(items)
-    assert_same(dram_fingerprint(scalar_dram),
-                dram_fingerprint(batched_dram))
+    def scenario(store, batched):
+        dram = build_kernel(tiny_machine(seed=7, trr=True), store).dram
+        left = dram.mapping.dram_to_phys(0, 29, 0)
+        right = dram.mapping.dram_to_phys(0, 31, 0)
+        _hammer(dram, [(left, 1), (right, 1)] * 2000, batched)
+        return dram_fingerprint(dram)
+
+    assert_equivalent(scenario)
 
 
 def test_hammer_batch_epoch_rollover_mid_run():
     """A long run straddling the refresh-window boundary: the batch
     must reproduce the scalar path's lazy heal discard exactly."""
-    scalar_dram = Kernel(strict(machine("thinkpad_x230"))).dram
-    batched_dram = Kernel(strict(machine("thinkpad_x230"))).dram
-    window = scalar_dram.timings.refresh_window_ns
-    for dram in (scalar_dram, batched_dram):
-        dram.clock.advance(window - 150_000)
-    paddr = scalar_dram.mapping.dram_to_phys(0, 30, 0)
-    items = [(paddr, 99)] * 2000
-    _scalar_hammer(scalar_dram, items, extra_ns=15)
-    batched_dram.hammer_batch(items, extra_ns=15)
-    assert_same(dram_fingerprint(scalar_dram),
-                dram_fingerprint(batched_dram))
+    def scenario(store, batched):
+        dram = build_kernel(machine("thinkpad_x230"), store).dram
+        dram.clock.advance(dram.timings.refresh_window_ns - 150_000)
+        paddr = dram.mapping.dram_to_phys(0, 30, 0)
+        _hammer(dram, [(paddr, 99)] * 2000, batched, extra_ns=15)
+        return dram_fingerprint(dram)
+
+    assert_equivalent(scenario)
 
 
 def _vulnerable_victim(dram):
@@ -162,43 +180,48 @@ def _vulnerable_victim(dram):
 
 def test_hammer_batch_identical_flip_stream():
     """A stream that *does* flip: byte-identical events and bytes."""
-    scalar_dram = Kernel(strict(tiny_machine(seed=7))).dram
-    batched_dram = Kernel(strict(tiny_machine(seed=7))).dram
-    _victim, aggressor = _vulnerable_victim(scalar_dram)
-    items = [(aggressor, 1)] * 20_000  # tiny threshold max is 16 K units
-    _scalar_hammer(scalar_dram, items)
-    batched_dram.hammer_batch(items)
-    scalar_fp = dram_fingerprint(scalar_dram)
-    assert scalar_fp["flip_log"], "scenario must actually flip bits"
-    assert_same(scalar_fp, dram_fingerprint(batched_dram))
+    def scenario(store, batched):
+        dram = build_kernel(tiny_machine(seed=7), store).dram
+        _victim, aggressor = _vulnerable_victim(dram)
+        # tiny threshold max is 16 K units
+        _hammer(dram, [(aggressor, 1)] * 20_000, batched)
+        fingerprint = dram_fingerprint(dram)
+        assert fingerprint["flip_log"], "scenario must actually flip bits"
+        return fingerprint
+
+    assert_equivalent(scenario)
 
 
 def test_access_batch_matches_transact_loop():
     """access_batch == a _transact_line loop, open and closed page."""
     for policy in (RowBufferPolicy.OPEN_PAGE, RowBufferPolicy.CLOSED_PAGE):
-        spec = dataclasses.replace(strict(machine("thinkpad_x230")),
+        spec = dataclasses.replace(machine("thinkpad_x230"),
                                    row_policy=policy)
-        scalar_dram = Kernel(spec).dram
-        batched_dram = Kernel(spec).dram
-        rng = derive_rng("diff-access", policy.name)
-        paddrs = []
-        for _ in range(200):
-            bank = rng.randrange(scalar_dram.geometry.num_banks)
-            row = rng.randrange(16, 48)
-            paddr = scalar_dram.mapping.dram_to_phys(bank, row, 0)
-            paddrs.extend([paddr] * rng.choice([1, 1, 2, 30]))
-        for paddr in paddrs:
-            scalar_dram._transact_line(paddr)
-        batched_dram.access_batch(paddrs)
-        assert_same(dram_fingerprint(scalar_dram),
-                    dram_fingerprint(batched_dram))
+
+        def scenario(store, batched):
+            dram = build_kernel(spec, store).dram
+            rng = derive_rng("diff-access", policy.name)
+            paddrs = []
+            for _ in range(200):
+                bank = rng.randrange(dram.geometry.num_banks)
+                row = rng.randrange(16, 48)
+                paddr = dram.mapping.dram_to_phys(bank, row, 0)
+                paddrs.extend([paddr] * rng.choice([1, 1, 2, 30]))
+            if batched:
+                dram.access_batch(paddrs)
+            else:
+                for paddr in paddrs:
+                    dram._transact_line(paddr)
+            return dram_fingerprint(dram)
+
+        assert_equivalent(scenario)
 
 
 # --------------------------------------------------------------------------
 # Kit level: the four hammer patterns of Section II-B
 # --------------------------------------------------------------------------
 
-def _pattern_vaddrs(kit, base, pattern):
+def _pattern_vaddrs(base, pattern):
     if pattern == "double_sided":
         return [base + PAGE, base + 3 * PAGE]
     if pattern == "single_sided":
@@ -210,17 +233,21 @@ def _pattern_vaddrs(kit, base, pattern):
     raise AssertionError(pattern)
 
 
-def _kit_scenario(spec, pattern, use_batch, iterations, softtrr):
-    kernel = Kernel(spec)
-    if softtrr:
-        kernel.load_module("softtrr", SoftTrr(SoftTrrParams()))
-    process = kernel.create_process("attacker")
-    base = kernel.mmap(process, 8 * PAGE, name="aggressors")
-    for i in range(8):
-        kernel.user_write(process, base + i * PAGE, b"A")
-    kit = HammerKit(kernel, process, use_batch=use_batch)
-    kit.hammer(_pattern_vaddrs(kit, base, pattern), iterations)
-    return kernel_fingerprint(kernel)
+def _kit_scenario(spec, pattern, iterations, softtrr):
+    def scenario(store, batched):
+        kernel = build_kernel(spec, store)
+        if softtrr:
+            kernel.load_module("softtrr", SoftTrr(SoftTrrParams()))
+        process = kernel.create_process("attacker")
+        base = kernel.mmap(process, 8 * PAGE, name="aggressors")
+        for i in range(8):
+            kernel.user_write(process, base + i * PAGE, b"A")
+        kit = HammerKit(kernel, process, use_batch=batched)
+        vaddrs = _pattern_vaddrs(base, pattern)
+        kit.run(round_robin(len(vaddrs), iterations), vaddrs)
+        return kernel_fingerprint(kernel)
+
+    return scenario
 
 
 @pytest.mark.parametrize("pattern", [
@@ -228,105 +255,95 @@ def _kit_scenario(spec, pattern, use_batch, iterations, softtrr):
 ])
 def test_kit_patterns_batched_equals_scalar(pattern):
     """Each Section II-B pattern, SoftTRR-protected, strict sanitizers."""
-    spec = strict(machine("thinkpad_x230"))
-    scalar = _kit_scenario(spec, pattern, use_batch=False,
-                           iterations=1500, softtrr=True)
-    batched = _kit_scenario(spec, pattern, use_batch=True,
-                            iterations=1500, softtrr=True)
-    assert_same(scalar, batched)
+    assert_equivalent(_kit_scenario(machine("thinkpad_x230"), pattern,
+                                    iterations=1500, softtrr=True))
 
 
 def test_kit_one_location_closed_page():
     """One-location hammering only works under closed-page policy —
     the batched burst must match there too."""
-    spec = dataclasses.replace(strict(machine("thinkpad_x230")),
+    spec = dataclasses.replace(machine("thinkpad_x230"),
                                row_policy=RowBufferPolicy.CLOSED_PAGE)
-    scalar = _kit_scenario(spec, "one_location", use_batch=False,
-                           iterations=1200, softtrr=False)
-    batched = _kit_scenario(spec, "one_location", use_batch=True,
-                            iterations=1200, softtrr=False)
-    assert_same(scalar, batched)
+    assert_equivalent(_kit_scenario(spec, "one_location",
+                                    iterations=1200, softtrr=False))
 
 
 # --------------------------------------------------------------------------
 # Kernel / workload level
 # --------------------------------------------------------------------------
 
-def _access_run_scenario(batched):
-    kernel = Kernel(strict(machine("thinkpad_x230")))
-    kernel.load_module("softtrr", SoftTrr(SoftTrrParams()))
-    process = kernel.create_process("app")
-    base = kernel.mmap(process, 4 * PAGE, name="ws")
-    for i in range(4):
-        kernel.user_write(process, base + i * PAGE, b"w")
-    payload = None
-    for repeat in (1, 5, 33):
-        for i in range(4):
-            vaddr = base + i * PAGE + 128
-            if batched:
-                kernel.user_access_run(process, vaddr, repeat, data=b"x")
-                payload = kernel.user_access_run(process, vaddr, repeat,
-                                                 size=8)
-            else:
-                for _ in range(repeat):
-                    kernel.user_write(process, vaddr, b"x")
-                for _ in range(repeat):
-                    payload = kernel.user_read(process, vaddr, 8)
-    return kernel_fingerprint(kernel), payload
-
-
 def test_user_access_run_equals_scalar_touches():
-    (scalar_fp, scalar_payload) = _access_run_scenario(batched=False)
-    (batched_fp, batched_payload) = _access_run_scenario(batched=True)
-    assert scalar_payload == batched_payload
-    assert_same(scalar_fp, batched_fp)
-
-
-def _workload_scenario(use_batch, softtrr):
-    profile = WorkloadProfile(
-        name="diff-memlat", duration_ms=30, hot_pages=8,
-        cold_pool_pages=32, cold_touches=2, write_fraction=0.4,
-        churn_prob=0.2, fork_every_slices=10, syscalls_per_slice=2,
-        hot_touch_repeat=4)
-    kernel = Kernel(strict(machine("thinkpad_x230")))
-    if softtrr:
+    def scenario(store, batched):
+        kernel = build_kernel(machine("thinkpad_x230"), store)
         kernel.load_module("softtrr", SoftTrr(SoftTrrParams()))
-    result = SliceWorkload(kernel, profile, seed=99,
-                           use_batch=use_batch).run()
-    return kernel_fingerprint(kernel), result
+        process = kernel.create_process("app")
+        base = kernel.mmap(process, 4 * PAGE, name="ws")
+        for i in range(4):
+            kernel.user_write(process, base + i * PAGE, b"w")
+        payload = None
+        for repeat in (1, 5, 33):
+            for i in range(4):
+                vaddr = base + i * PAGE + 128
+                if batched:
+                    kernel.user_access_run(process, vaddr, repeat,
+                                           data=b"x")
+                    payload = kernel.user_access_run(process, vaddr,
+                                                     repeat, size=8)
+                else:
+                    for _ in range(repeat):
+                        kernel.user_write(process, vaddr, b"x")
+                    for _ in range(repeat):
+                        payload = kernel.user_read(process, vaddr, 8)
+        fingerprint = kernel_fingerprint(kernel)
+        fingerprint["payload"] = payload
+        return fingerprint
+
+    assert_equivalent(scenario)
 
 
 def test_workload_slices_batched_equals_scalar():
     """A full churny workload on a SoftTRR-protected kernel: the two
     hot-loop paths consume the seed identically and leave identical
     machines — so every overhead measurement is path-independent."""
-    scalar_fp, scalar_result = _workload_scenario(use_batch=False,
-                                                  softtrr=True)
-    batched_fp, batched_result = _workload_scenario(use_batch=True,
-                                                    softtrr=True)
-    assert scalar_result == batched_result
-    assert_same(scalar_fp, batched_fp)
+    profile = WorkloadProfile(
+        name="diff-memlat", duration_ms=30, hot_pages=8,
+        cold_pool_pages=32, cold_touches=2, write_fraction=0.4,
+        churn_prob=0.2, fork_every_slices=10, syscalls_per_slice=2,
+        hot_touch_repeat=4)
+
+    def scenario(store, batched):
+        kernel = build_kernel(machine("thinkpad_x230"), store)
+        kernel.load_module("softtrr", SoftTrr(SoftTrrParams()))
+        result = SliceWorkload(kernel, profile, seed=99,
+                               use_batch=batched).run()
+        fingerprint = kernel_fingerprint(kernel)
+        fingerprint["result"] = result
+        return fingerprint
+
+    assert_equivalent(scenario)
 
 
 def test_full_softtrr_run_equivalence():
     """End to end: SoftTRR-protected machine, timers ticking, hammer
     pressure plus workload traffic; identical SoftTrrStats."""
-    def scenario(use_batch):
-        kernel = Kernel(strict(machine("thinkpad_x230")))
+    profile = WorkloadProfile(
+        name="diff-mix", duration_ms=10, hot_pages=4,
+        cold_pool_pages=16, cold_touches=2, hot_touch_repeat=3)
+
+    def scenario(store, batched):
+        kernel = build_kernel(machine("thinkpad_x230"), store)
         kernel.load_module("softtrr", SoftTrr(SoftTrrParams()))
         attacker = kernel.create_process("attacker")
         base = kernel.mmap(attacker, 8 * PAGE, name="aggressors")
         for i in range(8):
             kernel.user_write(attacker, base + i * PAGE, b"A")
-        kit = HammerKit(kernel, attacker, use_batch=use_batch)
-        kit.hammer([base + PAGE, base + 3 * PAGE], 1000)
-        profile = WorkloadProfile(
-            name="diff-mix", duration_ms=10, hot_pages=4,
-            cold_pool_pages=16, cold_touches=2, hot_touch_repeat=3)
-        SliceWorkload(kernel, profile, seed=5, use_batch=use_batch).run()
-        kit.hammer([base + PAGE, base + 3 * PAGE], 1000)
+        kit = HammerKit(kernel, attacker, use_batch=batched)
+        aggressors = [base + PAGE, base + 3 * PAGE]
+        kit.run(round_robin(len(aggressors), 1000), aggressors)
+        SliceWorkload(kernel, profile, seed=5, use_batch=batched).run()
+        kit.run(round_robin(len(aggressors), 1000), aggressors)
         fingerprint = kernel_fingerprint(kernel)
         assert "softtrr_stats" in fingerprint
         return fingerprint
 
-    assert_same(scenario(use_batch=False), scenario(use_batch=True))
+    assert_equivalent(scenario)

@@ -1,8 +1,9 @@
 """Four-way generative differential: dense == dict == scalar, bit for bit.
 
-Satellite of the dense-core PR: ≥200 seeded random hammer programs
-(see :mod:`tests.perf.generative`) replayed under strict sanitizers in
-all four (store, replay) modes, plus a band with the SoftTRR defense
+260 seeded random hammer programs (see :mod:`tests.perf.generative`)
+replayed under strict sanitizers in all four (store, replay) modes —
+the shipped dense store and the dict-keyed reference store, each
+scalar and batched — plus a band with the SoftTRR defense
 and an active FaultPlan, plus unit coverage for the shrinker itself.
 """
 
@@ -74,7 +75,7 @@ class TestGenerativeDifferential:
         # the per-defense equivalence band would be vacuous for the
         # policy under test.
         for seed in DEFENSE_SEEDS:
-            result = run_program(generate_program(seed), dense=True,
+            result = run_program(generate_program(seed), store="dense",
                                  batched=True, defense=defense)
             if result["telemetry"]["actuator.refreshes"] > 0:
                 return
@@ -84,7 +85,7 @@ class TestGenerativeDifferential:
         # At least one chaos program must draw injected faults, or the
         # fault-plan leg of the claim would be vacuous.
         for seed in CHAOS_SEEDS:
-            result = run_program(generate_program(seed), dense=True,
+            result = run_program(generate_program(seed), store="dense",
                                  batched=True, defense="softtrr",
                                  fault_plan=CHAOS_PLAN)
             injected = sum(
@@ -116,17 +117,24 @@ class TestGenerativeDifferential:
 
     def test_modes_really_differ_in_mechanism(self):
         # Same program, four distinct engine/replay combinations — the
-        # dense cores must actually be DenseDisturbanceEngine and the
-        # batch legs must actually take hammer_batch (checked via the
-        # engine classes the config materialises).
-        from repro.dram import DenseDisturbanceEngine, DisturbanceEngine
-        from repro.machine import Machine, MachineConfig
+        # dict modes must actually run on the reference store and the
+        # dense modes on the shipped DenseDisturbanceEngine.
+        from repro.dram import DenseDisturbanceEngine
+        from repro.machine import Machine
 
-        dense = Machine(MachineConfig(machine="tiny", dense=True))
-        sparse = Machine(MachineConfig(machine="tiny", dense=False))
-        assert type(dense.dram.engine) is DenseDisturbanceEngine
-        assert type(sparse.dram.engine) is DisturbanceEngine
-        assert len(MODES) == 4
+        from ..reference_disturbance import (
+            ReferenceDisturbanceEngine,
+            use_store,
+        )
+
+        engines = {}
+        for _label, store, _batched in MODES:
+            machine = Machine(machine="tiny")
+            use_store(machine.dram, store)
+            engines[store] = type(machine.dram.engine)
+        assert engines == {"dense": DenseDisturbanceEngine,
+                           "dict": ReferenceDisturbanceEngine}
+        assert len(MODES) == len(set(MODES)) == 4
 
 
 class TestShrinker:

@@ -1,10 +1,16 @@
-"""Tests for the ``REPRO_BATCH``/``REPRO_DENSE`` knobs
-(:mod:`repro.batching`)."""
+"""Tests for the ``REPRO_BATCH`` knob (:mod:`repro.batching`) and the
+retired ``REPRO_DENSE`` one."""
+
+import dataclasses
 
 import pytest
 
-from repro.batching import batch_enabled, dense_enabled
+from repro.batching import batch_enabled
+from repro.clock import SimClock
+from repro.config import tiny_machine
+from repro.dram import DenseDisturbanceEngine, DramModule
 from repro.errors import ConfigError
+from repro.machine import Machine, MachineConfig
 from repro.workloads.base import WorkloadProfile
 
 
@@ -33,43 +39,40 @@ class TestBatchEnabled:
 
 
 class TestDenseEnabled:
+    """``REPRO_DENSE`` used to choose the accumulator store.  The
+    simulator now has one store, so no value of the variable — a former
+    on value, a former off value, or none — may select another."""
+
+    @staticmethod
+    def engine_type():
+        return type(Machine(machine="tiny").dram.engine)
+
     def test_default_on_when_unset(self, monkeypatch):
         monkeypatch.delenv("REPRO_DENSE", raising=False)
-        assert dense_enabled()
-        assert not dense_enabled(default=False)
+        assert self.engine_type() is DenseDisturbanceEngine
 
     @pytest.mark.parametrize("value", ["0", "false", "no", "off",
                                        " OFF ", "False"])
     def test_off_values(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_DENSE", value)
-        assert not dense_enabled()
+        assert self.engine_type() is DenseDisturbanceEngine
 
     @pytest.mark.parametrize("value", ["1", "true", "yes", "on", ""])
     def test_everything_else_is_on(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_DENSE", value)
-        assert dense_enabled()
+        assert self.engine_type() is DenseDisturbanceEngine
 
-    def test_knob_selects_the_engine_class(self, monkeypatch):
-        from repro.dram import DenseDisturbanceEngine, DisturbanceEngine
-        from repro.machine import Machine
-
-        monkeypatch.setenv("REPRO_DENSE", "0")
-        assert isinstance(Machine(machine="tiny").dram.engine,
-                          DisturbanceEngine)
-        monkeypatch.setenv("REPRO_DENSE", "1")
-        assert isinstance(Machine(machine="tiny").dram.engine,
-                          DenseDisturbanceEngine)
-
-    def test_config_pin_beats_the_env_knob(self, monkeypatch):
-        from repro.dram import DenseDisturbanceEngine, DisturbanceEngine
-        from repro.machine import Machine
-
-        monkeypatch.setenv("REPRO_DENSE", "0")
-        machine = Machine(machine="tiny", dense=True)
-        assert isinstance(machine.dram.engine, DenseDisturbanceEngine)
-        monkeypatch.setenv("REPRO_DENSE", "1")
-        machine = Machine(machine="tiny", dense=False)
-        assert type(machine.dram.engine) is DisturbanceEngine
+    def test_no_setting_selects_the_store(self):
+        spec = tiny_machine()
+        parts = (spec.build_mapping(), spec.timings, spec.disturbance,
+                 spec.trr, SimClock())
+        assert type(DramModule(*parts).engine) is DenseDisturbanceEngine
+        with pytest.raises(TypeError):
+            DramModule(*parts, dense=False)
+        with pytest.raises(TypeError):
+            MachineConfig(machine="tiny", dense=False)
+        with pytest.raises(TypeError):
+            dataclasses.replace(spec, dense=False)
 
 
 class TestHotTouchRepeat:

@@ -13,10 +13,16 @@ from hypothesis import given, settings, strategies as st
 from repro.clock import SimClock
 from repro.core.ringbuf import PteRef, PteRingBuffer
 from repro.dram.address import linear_mapping, interleaved_mapping
-from repro.dram.disturbance import DisturbanceEngine, DisturbanceParams
+from repro.dram.dense import DenseDisturbanceEngine
+from repro.dram.disturbance import DisturbanceParams
 from repro.dram.geometry import DramGeometry
 from repro.kernel.buddy import BuddyAllocator
 from repro.mmu.tlb import Tlb, TlbEntry
+
+from .reference_disturbance import ReferenceDisturbanceEngine
+
+#: Both accumulator stores: the shipped one and the test reference.
+ENGINES = (DenseDisturbanceEngine, ReferenceDisturbanceEngine)
 
 
 class TestRingBufferModel:
@@ -81,27 +87,30 @@ class TestDisturbanceProperties:
     @settings(max_examples=40)
     def test_accumulation_is_additive(self, deposits):
         geo = DramGeometry(num_banks=4, rows_per_bank=32, row_bytes=2048)
-        engine = DisturbanceEngine(geo, DisturbanceParams(
-            base_flip_threshold=1e9, row_vuln_probability=0.0, seed=1))
         model = {}
         for bank, row, units in deposits:
-            engine.deposit(bank, row, units, epoch=0, now_ns=0)
             model[(bank, row)] = model.get((bank, row), 0.0) + units
-        for (bank, row), total in model.items():
-            assert abs(engine.accumulated(bank, row, 0) - total) < 1e-6
+        for engine_cls in ENGINES:
+            engine = engine_cls(geo, DisturbanceParams(
+                base_flip_threshold=1e9, row_vuln_probability=0.0, seed=1))
+            for bank, row, units in deposits:
+                engine.deposit(bank, row, units, epoch=0, now_ns=0)
+            for (bank, row), total in model.items():
+                assert abs(engine.accumulated(bank, row, 0) - total) < 1e-6
 
     @given(rows=st.lists(st.integers(0, 31), min_size=1, max_size=20))
     @settings(max_examples=40)
     def test_heal_is_idempotent_and_total(self, rows):
         geo = DramGeometry(num_banks=4, rows_per_bank=32, row_bytes=2048)
-        engine = DisturbanceEngine(geo, DisturbanceParams(
-            base_flip_threshold=1e9, row_vuln_probability=0.0, seed=1))
-        for row in rows:
-            engine.deposit(0, row, 10.0, epoch=0, now_ns=0)
-        for row in rows:
-            engine.heal(0, row)
-            engine.heal(0, row)
-            assert engine.accumulated(0, row, 0) == 0.0
+        for engine_cls in ENGINES:
+            engine = engine_cls(geo, DisturbanceParams(
+                base_flip_threshold=1e9, row_vuln_probability=0.0, seed=1))
+            for row in rows:
+                engine.deposit(0, row, 10.0, epoch=0, now_ns=0)
+            for row in rows:
+                engine.heal(0, row)
+                engine.heal(0, row)
+                assert engine.accumulated(0, row, 0) == 0.0
 
 
 class TestTlbModel:
