@@ -1,7 +1,7 @@
 """``repro-perfbench``: wall-clock throughput of the simulation stack.
 
-Three benchmarks, each timing the same simulated work through the
-scalar and the batched execution paths:
+Four benchmarks; the hammer and workload ones time the same simulated
+work through the scalar and the batched execution paths:
 
 * **hammer** — raw DRAM activation throughput on the ``thinkpad_x230``
   profile: a scalar ``DramModule.hammer`` loop vs one
@@ -11,6 +11,9 @@ scalar and the batched execution paths:
 * **workload** — slices/second of a memory-bound
   :class:`~repro.workloads.base.SliceWorkload` (``hot_touch_repeat`` >
   1), scalar vs the :meth:`Kernel.user_access_run` replay path.
+* **translate** — report-only ns/op of ``phys_to_dram``,
+  ``dram_to_phys`` and a 4 KiB ``raw_write`` on one profile per
+  address-mapping kind (``linear`` and ``interleaved``).
 * **table5** — end-to-end wall runtime of the Table V robustness
   evaluation (the heaviest whole-stack consumer in the repo).
 
@@ -147,6 +150,51 @@ def bench_workload(quick: bool) -> Dict[str, object]:
     }
 
 
+#: Profiles of the translation rows: one per address-mapping kind.
+TRANSLATE_MACHINES = (("linear", BENCH_MACHINE), ("interleaved", "perf_testbed"))
+
+
+def bench_translate(quick: bool) -> Dict[str, object]:
+    """ns/op of address translation and a 4 KiB bulk copy (report only).
+
+    Addresses come from a fixed multiplicative stride over the module,
+    so every run times the same operations.
+    """
+    n = 20_000 if quick else 100_000
+    pages = n // 50
+    cases = []
+    for kind, name in TRANSLATE_MACHINES:
+        dram = Machine.from_parts(machine(name)).dram
+        mapping = dram.mapping
+        capacity = dram.geometry.capacity_bytes
+        paddrs = [(i * 0x9E3779B1) % capacity for i in range(n)]
+        locations = [mapping.phys_to_dram(p) for p in paddrs]
+        page_paddrs = [p & ~0xFFF for p in paddrs[:pages]]
+        payload = bytes(range(256)) * 16
+
+        def forward() -> None:
+            for paddr in paddrs:
+                mapping.phys_to_dram(paddr)
+
+        def inverse() -> None:
+            for bank, row, col in locations:
+                mapping.dram_to_phys(bank, row, col)
+
+        def raw_write() -> None:
+            for paddr in page_paddrs:
+                dram.raw_write(paddr, payload)
+
+        cases.append({
+            "mapping": kind,
+            "machine": name,
+            "run_shift": mapping.run_shift,
+            "phys_to_dram_ns": round(_timed(forward) / n * 1e9, 1),
+            "dram_to_phys_ns": round(_timed(inverse) / n * 1e9, 1),
+            "raw_write_4k_ns": round(_timed(raw_write) / pages * 1e9, 1),
+        })
+    return {"ops": n, "raw_write_pages": pages, "cases": cases}
+
+
 def bench_table5(quick: bool) -> Dict[str, object]:
     """End-to-end wall runtime of the Table V evaluation."""
     from ..analysis.robustness import run_table5
@@ -170,6 +218,7 @@ def run_benchmarks(quick: bool = False) -> Dict[str, object]:
         "quick": quick,
         "hammer": bench_hammer(quick),
         "workload": bench_workload(quick),
+        "translate": bench_translate(quick),
         "table5": bench_table5(quick),
     }
 
@@ -186,6 +235,11 @@ def _render(payload: Dict[str, object]) -> str:
         "  workload                 scalar {scalar_slices_per_s:>9,} sl/s  "
         "  batched {batched_slices_per_s:>10,} sl/s    {speedup:>6}x"
         .format(**wl))
+    for case in payload["translate"]["cases"]:
+        lines.append(
+            "  translate/{mapping:<13} phys_to_dram {phys_to_dram_ns:>6} ns  "
+            "dram_to_phys {dram_to_phys_ns:>6} ns  raw_write 4 KiB "
+            "{raw_write_4k_ns:>9} ns".format(**case))
     t5 = payload["table5"]
     lines.append(
         f"  table5            {t5['rows']} tests x {t5['iterations']} iter "

@@ -22,15 +22,23 @@ guarantee that by requiring each bank mask to contain exactly one
 *base bit* that is not a row bit, not a column bit, and not in any other
 mask; inversion then scatters the row/column bits and solves each base
 bit from the requested bank parity.
+
+Every output bit of either direction is the parity of some input bits,
+so the map is linear over GF(2).  The constructor compiles each
+direction once into XOR-ed lookup tables indexed by chunks of at most
+11 address bits (:func:`_xor_tables`); a translation is then one table
+read per chunk plus a few shifts, and identical definitions share one
+set of tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence, Tuple
+from functools import lru_cache
+from typing import List, NamedTuple, Tuple
 
 from ..errors import AddressMappingError
-from .geometry import DramGeometry, LINE_SHIFT
+from .geometry import DramGeometry, LINE_BYTES, LINE_SHIFT, PAGE_BYTES, PAGE_SHIFT
 
 
 class DramAddress(NamedTuple):
@@ -41,25 +49,42 @@ class DramAddress(NamedTuple):
     col: int
 
 
-def _parity(value: int) -> int:
-    """Parity (XOR of all bits) of ``value``."""
-    return bin(value).count("1") & 1
+#: Widest address chunk one lookup table is indexed by: three 11-bit
+#: chunks cover a 33-bit (8 GiB) module with 2048-entry tables.
+_CHUNK_BITS = 11
+
+#: ``tuple.__new__`` builds a :class:`DramAddress` without the
+#: generated keyword-argument ``__new__`` (the hottest call site).
+_new_tuple = tuple.__new__
+
+#: One compiled lookup: ``((shift, table), ...)`` with one table per
+#: chunk of the input word, plus the shared chunk index mask.
+_XorTables = Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...], int]
 
 
-def _gather_bits(value: int, positions: Sequence[int]) -> int:
-    """Extract the bits of ``value`` at ``positions`` into a packed int."""
-    out = 0
-    for i, pos in enumerate(positions):
-        out |= ((value >> pos) & 1) << i
-    return out
+@lru_cache(maxsize=32)
+def _xor_tables(images: Tuple[int, ...]) -> _XorTables:
+    """Compile a GF(2)-linear map into chunk lookup tables.
 
-
-def _scatter_bits(packed: int, positions: Sequence[int]) -> int:
-    """Inverse of :func:`_gather_bits`."""
-    out = 0
-    for i, pos in enumerate(positions):
-        out |= ((packed >> i) & 1) << pos
-    return out
+    ``images[k]`` is the output for input bit ``k`` alone; by linearity
+    the output for any input is the XOR of the images of its set bits,
+    so XOR-ing one precomputed entry per input chunk evaluates it.  The
+    input width ``len(images)`` sets the number of chunks; chunks are
+    balanced so every table has the same size.  Mappings with the same
+    definition share one cache entry.
+    """
+    width = len(images)
+    n_chunks = -(-width // _CHUNK_BITS)
+    chunk_bits = -(-width // n_chunks)
+    lookups = []
+    for shift in range(0, width, chunk_bits):
+        bit_images = images[shift:shift + chunk_bits]
+        table = [0] * (1 << len(bit_images))
+        for index in range(1, len(table)):
+            low = index & -index
+            table[index] = table[index ^ low] ^ bit_images[low.bit_length() - 1]
+        lookups.append((shift, tuple(table)))
+    return tuple(lookups), (1 << chunk_bits) - 1
 
 
 @dataclass(frozen=True)
@@ -76,6 +101,12 @@ class AddressMapping:
     row_bits / col_bits:
         Physical-address bit positions forming the row / column index
         (LSB first).
+    run_shift:
+        Derived: how many low physical-address bits pass straight
+        through as column bits (13 for :func:`linear_mapping` on 8 KiB
+        rows, 6 for :func:`interleaved_mapping`).  Every
+        ``2**run_shift``-aligned block is one contiguous byte run of a
+        single row, which is what the module's bulk copies rely on.
     """
 
     geometry: DramGeometry
@@ -134,22 +165,102 @@ class AddressMapping:
         if used != all_addr_bits:
             missing = sorted(all_addr_bits - used)
             raise AddressMappingError(f"address bits {missing} are unmapped")
-        object.__setattr__(self, "_base_bits", tuple(base_bits))
+        self._compile(base_bits)
+
+    def _compile(self, base_bits: List[int]) -> None:
+        """Precompute the lookup tables and the packed-word layout.
+
+        Both directions translate through a packed ``bank|row|col``
+        word: column index in the low bits, row index above it, bank
+        index on top.
+        """
+        geo = self.geometry
+        n_col, n_row = len(self.col_bits), len(self.row_bits)
+        row_shift, bank_shift = n_col, n_col + n_row
+        row_mask, col_mask = (1 << n_row) - 1, (1 << n_col) - 1
+        # Forward: physical bit p feeds its column/row index bit and the
+        # parity of every bank mask that contains it.
+        forward = [0] * geo.addr_bits
+        for i, pos in enumerate(self.col_bits):
+            forward[pos] |= 1 << i
+        for i, pos in enumerate(self.row_bits):
+            forward[pos] |= 1 << (row_shift + i)
+        for i, mask in enumerate(self.bank_masks):
+            for pos in range(geo.addr_bits):
+                if (mask >> pos) & 1:
+                    forward[pos] |= 1 << (bank_shift + i)
+        # Inverse: place the row/column bits, then solve each mask's
+        # base bit (in mask order, as a later mask may hold an earlier
+        # base bit) so the mask's parity equals the wanted bank bit.
+        inverse = []
+        for k in range(geo.addr_bits):
+            if k < row_shift:
+                paddr, bank = 1 << self.col_bits[k], 0
+            elif k < bank_shift:
+                paddr, bank = 1 << self.row_bits[k - row_shift], 0
+            else:
+                paddr, bank = 0, 1 << (k - bank_shift)
+            for i, (mask, base) in enumerate(zip(self.bank_masks, base_bits)):
+                have = bin(paddr & mask).count("1") & 1
+                if have != (bank >> i) & 1:
+                    paddr ^= 1 << base
+            inverse.append(paddr)
+        # Low physical bits that are column bits in place and feed no
+        # bank mask: a 2**run_shift-aligned block is one contiguous run
+        # of one row.
+        bank_union = 0
+        for mask in self.bank_masks:
+            bank_union |= mask
+        run_shift = 0
+        while (run_shift < n_col and self.col_bits[run_shift] == run_shift
+               and not (bank_union >> run_shift) & 1):
+            run_shift += 1
+        # A page's line offsets share no bit with its page-aligned base,
+        # so by linearity each line's (bank, row) is the base's XOR the
+        # offset's: keep the distinct offset parts, in line order.
+        page_deltas: List[Tuple[int, int]] = []
+        for offset in range(0, PAGE_BYTES, LINE_BYTES):
+            packed = 0
+            for pos in range(geo.addr_bits):
+                if (offset >> pos) & 1:
+                    packed ^= forward[pos]
+            delta = (packed >> bank_shift, (packed >> row_shift) & row_mask)
+            if delta not in page_deltas:
+                page_deltas.append(delta)
+        tables, chunk_mask = _xor_tables(tuple(forward))
+        object.__setattr__(self, "_to_dram", (
+            geo.capacity_bytes, tables, chunk_mask, bank_shift, row_shift,
+            row_mask, col_mask))
+        tables, chunk_mask = _xor_tables(tuple(inverse))
+        object.__setattr__(self, "_to_phys", (
+            tables, chunk_mask, bank_shift, row_shift, geo.row_bytes))
+        object.__setattr__(self, "_page_deltas", tuple(page_deltas))
+        object.__setattr__(self, "run_shift", run_shift)
+
+    # The compiled tables are derived, immutable state: copies share
+    # them and pickles carry only the definition.
+    def __reduce__(self):
+        return (AddressMapping,
+                (self.geometry, self.bank_masks, self.row_bits, self.col_bits))
+
+    def __deepcopy__(self, memo) -> "AddressMapping":
+        return self
 
     # ------------------------------------------------------------ forward
     def phys_to_dram(self, paddr: int) -> DramAddress:
         """Map a physical byte address to its DRAM location."""
-        if not 0 <= paddr < self.geometry.capacity_bytes:
+        capacity, tables, chunk_mask, bank_shift, row_shift, row_mask, col_mask = (
+            self._to_dram)  # type: ignore[attr-defined]
+        if not 0 <= paddr < capacity:
             raise AddressMappingError(
-                f"paddr {paddr:#x} outside module capacity "
-                f"{self.geometry.capacity_bytes:#x}"
+                f"paddr {paddr:#x} outside module capacity {capacity:#x}"
             )
-        bank = 0
-        for i, mask in enumerate(self.bank_masks):
-            bank |= _parity(paddr & mask) << i
-        row = _gather_bits(paddr, self.row_bits)
-        col = _gather_bits(paddr, self.col_bits)
-        return DramAddress(bank=bank, row=row, col=col)
+        packed = 0
+        for shift, table in tables:
+            packed ^= table[(paddr >> shift) & chunk_mask]
+        return _new_tuple(DramAddress, (
+            packed >> bank_shift, (packed >> row_shift) & row_mask,
+            packed & col_mask))
 
     # ------------------------------------------------------------ inverse
     def dram_to_phys(self, bank: int, row: int, col: int = 0) -> int:
@@ -160,15 +271,14 @@ class AddressMapping:
         """
         self.geometry.check_bank(bank)
         self.geometry.check_row(row)
-        if not 0 <= col < self.geometry.row_bytes:
+        tables, chunk_mask, bank_shift, row_shift, row_bytes = (
+            self._to_phys)  # type: ignore[attr-defined]
+        if not 0 <= col < row_bytes:
             raise AddressMappingError(f"column {col} out of range")
-        paddr = _scatter_bits(row, self.row_bits) | _scatter_bits(col, self.col_bits)
-        for i, mask in enumerate(self.bank_masks):
-            base = self._base_bits[i]  # type: ignore[attr-defined]
-            want = (bank >> i) & 1
-            have = _parity(paddr & (mask & ~(1 << base)))
-            if want ^ have:
-                paddr |= 1 << base
+        packed = (bank << bank_shift) | (row << row_shift) | col
+        paddr = 0
+        for shift, table in tables:
+            paddr ^= table[(packed >> shift) & chunk_mask]
         return paddr
 
     # ------------------------------------------------------------ helpers
@@ -193,14 +303,9 @@ class AddressMapping:
         why SoftTRR's ``pt_row_rbtree`` nodes can carry several
         ``bank_struct`` entries (Table I, [50]).
         """
-        seen: List[Tuple[int, int]] = []
-        base = ppn << 12
-        for off in range(0, 4096, 1 << LINE_SHIFT):
-            dram = self.phys_to_dram(base + off)
-            key = (dram.bank, dram.row)
-            if key not in seen:
-                seen.append(key)
-        return seen
+        dram = self.phys_to_dram(ppn << PAGE_SHIFT)
+        return [(dram.bank ^ bank, dram.row ^ row)
+                for bank, row in self._page_deltas]  # type: ignore[attr-defined]
 
     def row_pages(self, bank: int, row: int) -> List[int]:
         """Distinct PPNs with at least one line in (bank, row).

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..clock import SimClock
 from ..errors import DramError
-from .address import AddressMapping
+from .address import AddressMapping, DramAddress
 from .bank import BankState, RowBufferPolicy
 from .chiptrr import ChipTrr, TrrParams
 from .dense import DenseDisturbanceEngine
@@ -150,9 +150,14 @@ class DramModule:
     def _epoch(self) -> int:
         return self.timings.refresh_epoch(self.clock.now_ns)
 
-    def _transact_line(self, paddr: int) -> int:
-        """One line-sized memory transaction; returns its latency in ns."""
-        dram = self.mapping.phys_to_dram(paddr)
+    def _transact_line(self, paddr: int,
+                       dram: Optional[DramAddress] = None) -> int:
+        """One line-sized memory transaction; returns its latency in ns.
+
+        ``dram`` is ``paddr``'s translation when the caller already has it.
+        """
+        if dram is None:
+            dram = self.mapping.phys_to_dram(paddr)
         bank_state = self._banks[dram.bank]
         activated = bank_state.access(dram.row, self.row_policy)
         if activated:
@@ -304,16 +309,16 @@ class DramModule:
             while j < n and paddrs[j] == paddr:
                 j += 1
             run = j - i
-            self._transact_line(paddr)
+            dram = self.mapping.phys_to_dram(paddr)
+            self._transact_line(paddr, dram)
             if run > 1:
-                dram = self.mapping.phys_to_dram(paddr)
                 state = self._banks[dram.bank]
                 if open_page and state.open_row == dram.row:
                     state.hit_run(dram.row, run - 1)
                     self.clock.advance((run - 1) * hit_ns)
                 else:
                     for _ in range(run - 1):
-                        self._transact_line(paddr)
+                        self._transact_line(paddr, dram)
             i = j
 
     def write_run(self, paddr: int, payload: bytes, count: int) -> bool:
@@ -392,8 +397,8 @@ class DramModule:
         self.reads += 1
         out = bytearray()
         for line_paddr, offset, chunk in self._lines(paddr, size):
-            self._transact_line(line_paddr)
             dram = self.mapping.phys_to_dram(line_paddr)
+            self._transact_line(line_paddr, dram)
             data = self._row_data(dram.bank, dram.row)
             start = dram.col + offset
             out.extend(data[start : start + chunk])
@@ -404,8 +409,8 @@ class DramModule:
         self.writes += 1
         pos = 0
         for line_paddr, offset, chunk in self._lines(paddr, len(payload)):
-            self._transact_line(line_paddr)
             dram = self.mapping.phys_to_dram(line_paddr)
+            self._transact_line(line_paddr, dram)
             data = self._row_data(dram.bank, dram.row)
             start = dram.col + offset
             data[start : start + chunk] = payload[pos : pos + chunk]
@@ -414,30 +419,25 @@ class DramModule:
     # --------------------------------------------------- instrumentation
     def raw_read(self, paddr: int, size: int) -> bytes:
         """Side-effect-free read for integrity checks and test setup."""
+        rows = self._rows
         out = bytearray()
-        for line_paddr, offset, chunk in self._lines(paddr, size):
-            dram = self.mapping.phys_to_dram(line_paddr)
-            data = self._rows.get((dram.bank, dram.row))
+        for bank, row, col, chunk in self._runs(paddr, size):
+            data = rows.get((bank, row))
             if data is None:
-                out.extend(b"\x00" * chunk)
+                out += bytes(chunk)
             else:
-                start = dram.col + offset
-                out.extend(data[start : start + chunk])
+                out += data[col : col + chunk]
         return bytes(out)
 
     def raw_write(self, paddr: int, payload: bytes) -> None:
         """Side-effect-free write for test setup."""
         pos = 0
-        for line_paddr, offset, chunk in self._lines(paddr, len(payload)):
-            dram = self.mapping.phys_to_dram(line_paddr)
-            data = self._row_data(dram.bank, dram.row)
-            start = dram.col + offset
-            data[start : start + chunk] = payload[pos : pos + chunk]
+        for bank, row, col, chunk in self._runs(paddr, len(payload)):
+            self._row_data(bank, row)[col : col + chunk] = payload[pos : pos + chunk]
             pos += chunk
 
     # ------------------------------------------------------------ helpers
-    def _lines(self, paddr: int, size: int):
-        """Split [paddr, paddr+size) into per-line (line_paddr, off, len)."""
+    def _check_span(self, paddr: int, size: int) -> None:
         if size <= 0:
             raise DramError(f"access size must be positive, got {size}")
         if paddr < 0 or paddr + size > self.geometry.capacity_bytes:
@@ -445,6 +445,10 @@ class DramModule:
                 f"access [{paddr:#x}, +{size}) outside capacity "
                 f"{self.geometry.capacity_bytes:#x}"
             )
+
+    def _lines(self, paddr: int, size: int):
+        """Split [paddr, paddr+size) into per-line (line_paddr, off, len)."""
+        self._check_span(paddr, size)
         end = paddr + size
         cursor = paddr
         while cursor < end:
@@ -452,6 +456,21 @@ class DramModule:
             offset = cursor - line_paddr
             chunk = min(LINE_BYTES - offset, end - cursor)
             yield line_paddr, offset, chunk
+            cursor += chunk
+
+    def _runs(self, paddr: int, size: int):
+        """Split [paddr, paddr+size) into contiguous row runs
+        ``(bank, row, col, len)``, one translation per
+        ``2**mapping.run_shift``-aligned block."""
+        self._check_span(paddr, size)
+        to_dram = self.mapping.phys_to_dram
+        block = 1 << self.mapping.run_shift
+        end = paddr + size
+        cursor = paddr
+        while cursor < end:
+            chunk = min(block - (cursor & (block - 1)), end - cursor)
+            bank, row, col = to_dram(cursor)
+            yield bank, row, col, chunk
             cursor += chunk
 
     def refresh_row(self, bank: int, row: int) -> None:

@@ -12,6 +12,7 @@ knob.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import asdict
 from typing import Iterable, List, Sequence, Union
 
@@ -250,6 +251,11 @@ def run_scenario_guarded(spec: ScenarioSpec) -> ScenarioResult:
     propagating — so one bad cell can never sink its siblings, and a
     sweep always returns a full-length result list with failures
     recorded in place.
+
+    The cell's machines sit in reference cycles (actuator callbacks,
+    kernel <-> MMU), so a full collection runs at the cell boundary:
+    memory then stays flat over any number of cells instead of waiting
+    for the collector's own schedule.
     """
     try:
         return run_scenario(spec)
@@ -265,6 +271,8 @@ def run_scenario_guarded(spec: ScenarioSpec) -> ScenarioResult:
                 },
             },
         )
+    finally:
+        gc.collect()
 
 
 def run_sweep(specs: Iterable[Union[ScenarioSpec, str]],

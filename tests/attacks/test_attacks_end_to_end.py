@@ -2,6 +2,8 @@
 vanilla kernel and is defeated by SoftTRR (the Table II result, scaled
 to the tiny test machine)."""
 
+import dataclasses
+
 import pytest
 
 from repro.attacks.cattmew import CattmewAttack
@@ -11,9 +13,11 @@ from repro.attacks.placement import l1pt_of, place_l1pt_at, spray_l1pts
 from repro.config import tiny_machine
 from repro.core.profile import SoftTrrParams
 from repro.core.softtrr import SoftTrr
+from repro.errors import DramError
 from repro.kernel.kernel import Kernel
 from repro.kernel.physmem import FrameUse
 from repro.kernel.vma import PAGE
+from repro.scenarios import run_scenario_guarded, scenario
 
 #: SoftTRR parameters scaled to the tiny machine's weak DRAM: its cells
 #: flip after ~2000 weighted ACTs (~160 us of hammering), so the
@@ -130,3 +134,48 @@ class TestPthammer:
             PthammerAttack, softtrr=True, hammer_ns=3_000_000)
         assert outcome.bit_flip_failed
         assert kernel.module("softtrr").refresher.refreshes > 0
+
+
+class _CrashingSpray(MemorySprayAttack):
+    """Memory Spray whose hammer phase ends in an out-of-range access,
+    optionally after corrupting the first target's L1PT page."""
+
+    corrupt = True
+
+    def _hammer_target(self, target, duration_ns):
+        if self.corrupt:
+            paddr = target.victim_ppn << 12
+            byte = self.kernel.dram.raw_read(paddr, 1)[0]
+            self.kernel.dram.raw_write(paddr, bytes([byte ^ 0x10]))
+        raise DramError("access [0x600000, +8) outside capacity 0x400000")
+
+
+class TestHammerCrash:
+    def test_crash_after_pt_corruption_is_a_bypass(self):
+        kernel = Kernel(tiny_machine())
+        attack = _CrashingSpray(kernel, **TEMPLATE_KW)
+        attack.setup()
+        outcome = attack.run(hammer_ns_per_victim=100_000)
+        # Hammering stopped at the first target; its corruption counts.
+        assert outcome.succeeded
+        assert outcome.flipped_pt_pages == [attack.targets[0].victim_ppn]
+
+    def test_crash_without_pt_corruption_propagates(self):
+        kernel = Kernel(tiny_machine())
+        attack = _CrashingSpray(kernel, **TEMPLATE_KW)
+        attack.corrupt = False
+        attack.setup()
+        with pytest.raises(DramError):
+            attack.run(hammer_ns_per_victim=100_000)
+
+    def test_zebram_distance_two_seed_3_is_not_a_false_bypass(self):
+        # At machine seed 3 the templated cell is PFN bit 22 of the
+        # second aggressor's own PTE; placement charges it, so the first
+        # hammer access walks to frame 0x600, past the 4 MiB module,
+        # before any flip.  No targeted L1PT page changed, so the crash
+        # must surface as an error rather than a bypass verdict.
+        spec = scenario("baselines-zebram-memory_spray_d2")
+        spec = dataclasses.replace(spec, params={**spec.params, "seed": 3})
+        payload = run_scenario_guarded(spec).payload
+        assert payload["error"]["type"] == "DramError"
+        assert "outside capacity 0x400000" in payload["error"]["message"]

@@ -49,3 +49,26 @@ class TestCheckRegression:
                  for case in baseline["hammer"]["cases"]}
         assert rates["one_location"] >= 10_000_000
         assert rates["double_sided"] * 2 >= rates["one_location"]
+
+
+class TestTranslateRows:
+    def test_one_report_only_row_per_mapping_kind(self):
+        from repro.bench.perf import bench_translate
+
+        rows = bench_translate(quick=True)["cases"]
+        assert [(r["mapping"], r["run_shift"]) for r in rows] == [
+            ("linear", 13), ("interleaved", 6)]
+        for row in rows:
+            for key in ("phys_to_dram_ns", "dram_to_phys_ns",
+                        "raw_write_4k_ns"):
+                assert row[key] > 0
+
+    def test_committed_baseline_carries_translate_rows(self):
+        import json
+        from pathlib import Path
+
+        baseline_path = (Path(__file__).resolve().parents[2]
+                         / "benchmarks" / "perf_baseline.json")
+        baseline = json.loads(baseline_path.read_text())
+        assert {case["mapping"] for case in baseline["translate"]["cases"]} == {
+            "linear", "interleaved"}

@@ -1,9 +1,11 @@
 """Sweep execution: parallel == serial, byte for byte; CLI behaviour."""
 
+import gc
 import json
 
 import pytest
 
+from repro.dram.module import DramModule
 from repro.scenarios import (
     ScenarioSpec,
     results_to_json,
@@ -88,6 +90,20 @@ class TestGuardedSweep:
         serial = results_to_json(run_sweep(mixed, workers=1))
         parallel = results_to_json(run_sweep(mixed, workers=2))
         assert serial == parallel
+
+    def test_cell_machines_are_reclaimed_at_the_cell_boundary(self):
+        # With automatic collection off, only the guarded runner's own
+        # collection can free the cell's machines (they sit in cycles).
+        gc.collect()
+        before = {id(o) for o in gc.get_objects() if isinstance(o, DramModule)}
+        gc.disable()
+        try:
+            run_scenario_guarded("smoke-spray-vanilla")
+            left = [o for o in gc.get_objects()
+                    if isinstance(o, DramModule) and id(o) not in before]
+        finally:
+            gc.enable()
+        assert left == []
 
 
 class TestCli:
