@@ -12,8 +12,9 @@ work through the scalar and the batched execution paths:
   :class:`~repro.workloads.base.SliceWorkload` (``hot_touch_repeat`` >
   1), scalar vs the :meth:`Kernel.user_access_run` replay path.
 * **translate** — report-only ns/op of ``phys_to_dram``,
-  ``dram_to_phys`` and a 4 KiB ``raw_write`` on one profile per
-  address-mapping kind (``linear`` and ``interleaved``).
+  ``dram_to_phys``, a 4 KiB ``raw_write``, a 4 KiB ``raw_read`` and an
+  8-byte ``raw_read`` on one profile per address-mapping kind
+  (``linear`` and ``interleaved``).
 * **table5** — end-to-end wall runtime of the Table V robustness
   evaluation (the heaviest whole-stack consumer in the repo).
 
@@ -155,7 +156,7 @@ TRANSLATE_MACHINES = (("linear", BENCH_MACHINE), ("interleaved", "perf_testbed")
 
 
 def bench_translate(quick: bool) -> Dict[str, object]:
-    """ns/op of address translation and a 4 KiB bulk copy (report only).
+    """ns/op of address translation and raw copies (report only).
 
     Addresses come from a fixed multiplicative stride over the module,
     so every run times the same operations.
@@ -170,6 +171,7 @@ def bench_translate(quick: bool) -> Dict[str, object]:
         paddrs = [(i * 0x9E3779B1) % capacity for i in range(n)]
         locations = [mapping.phys_to_dram(p) for p in paddrs]
         page_paddrs = [p & ~0xFFF for p in paddrs[:pages]]
+        entry_paddrs = [p & ~7 for p in paddrs]
         payload = bytes(range(256)) * 16
 
         def forward() -> None:
@@ -184,6 +186,14 @@ def bench_translate(quick: bool) -> Dict[str, object]:
             for paddr in page_paddrs:
                 dram.raw_write(paddr, payload)
 
+        def raw_read_page() -> None:
+            for paddr in page_paddrs:
+                dram.raw_read(paddr, 4096)
+
+        def raw_read_entry() -> None:
+            for paddr in entry_paddrs:
+                dram.raw_read(paddr, 8)
+
         cases.append({
             "mapping": kind,
             "machine": name,
@@ -191,6 +201,8 @@ def bench_translate(quick: bool) -> Dict[str, object]:
             "phys_to_dram_ns": round(_timed(forward) / n * 1e9, 1),
             "dram_to_phys_ns": round(_timed(inverse) / n * 1e9, 1),
             "raw_write_4k_ns": round(_timed(raw_write) / pages * 1e9, 1),
+            "raw_read_4k_ns": round(_timed(raw_read_page) / pages * 1e9, 1),
+            "raw_read_8b_ns": round(_timed(raw_read_entry) / n * 1e9, 1),
         })
     return {"ops": n, "raw_write_pages": pages, "cases": cases}
 
@@ -239,7 +251,8 @@ def _render(payload: Dict[str, object]) -> str:
         lines.append(
             "  translate/{mapping:<13} phys_to_dram {phys_to_dram_ns:>6} ns  "
             "dram_to_phys {dram_to_phys_ns:>6} ns  raw_write 4 KiB "
-            "{raw_write_4k_ns:>9} ns".format(**case))
+            "{raw_write_4k_ns:>9} ns  raw_read 4 KiB {raw_read_4k_ns:>9} ns  "
+            "raw_read 8 B {raw_read_8b_ns:>6} ns".format(**case))
     t5 = payload["table5"]
     lines.append(
         f"  table5            {t5['rows']} tests x {t5['iterations']} iter "

@@ -100,12 +100,9 @@ class PageTableCollector:
 
     def pointed_pages(self, pt_ppn: int) -> List[int]:
         """PPNs referenced by the valid entries of an L1PT page."""
-        out: List[int] = []
-        for index in range(512):
-            entry = self.kernel.mmu.pt_ops.raw_read_entry(pt_ppn, index)
-            if bits.is_present(entry):
-                out.append(bits.pte_ppn(entry))
-        return out
+        return [bits.pte_ppn(entry)
+                for entry in self.kernel.mmu.pt_ops.raw_read_table(pt_ppn)
+                if bits.is_present(entry)]
 
     def _user_accessible(self, ppn: int) -> bool:
         """Adjacent-page candidate filter: mapped into some user space."""
@@ -237,8 +234,7 @@ class PageTableCollector:
             return self.pointed_pages(ppn)
         if level == 2:
             out: List[int] = []
-            for index in range(512):
-                entry = self.kernel.mmu.pt_ops.raw_read_entry(ppn, index)
+            for entry in self.kernel.mmu.pt_ops.raw_read_table(ppn):
                 if not bits.is_present(entry):
                     continue
                 if bits.is_huge(entry):

@@ -28,14 +28,18 @@ so the map is linear over GF(2).  The constructor compiles each
 direction once into XOR-ed lookup tables indexed by chunks of at most
 11 address bits (:func:`_xor_tables`); a translation is then one table
 read per chunk plus a few shifts, and identical definitions share one
-set of tables.
+set of tables.  The same linearity gives a page's layout in DRAM
+relative to its page-aligned base (:class:`PageLayout`), which the
+module's whole-page copies use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from ..errors import AddressMappingError
 from .geometry import DramGeometry, LINE_BYTES, LINE_SHIFT, PAGE_BYTES, PAGE_SHIFT
@@ -87,6 +91,56 @@ def _xor_tables(images: Tuple[int, ...]) -> _XorTables:
     return tuple(lookups), (1 << chunk_bits) - 1
 
 
+class PageLayout(NamedTuple):
+    """Where a 4 KiB page's bytes lie in DRAM, relative to its base.
+
+    ``runs`` are ``(bank_delta, row_delta, col_delta, length)``: the
+    page's lines sorted by (bank, row, column) delta, with neighbours
+    whose columns are contiguous merged.  For a page-aligned base at
+    ``(bank, row, col)`` a run occupies ``length`` bytes of row
+    ``(bank ^ bank_delta, row ^ row_delta)`` from column
+    ``col + col_delta``; the runs laid end to end are the page in *run
+    order*.  ``order`` holds, for each line of run order, the page line
+    it carries, and ``inverse`` where each page line sits in run order
+    (read-only arrays of :data:`LINES_PER_PAGE`); both are ``None``
+    when run order is page order.
+    """
+
+    runs: Tuple[Tuple[int, int, int, int], ...]
+    order: Optional[np.ndarray]
+    inverse: Optional[np.ndarray]
+
+
+#: 64-byte lines in a 4 KiB page.
+LINES_PER_PAGE = PAGE_BYTES // LINE_BYTES
+
+
+@lru_cache(maxsize=32)
+def _page_layout(line_keys: Tuple[Tuple[int, int, int], ...]) -> PageLayout:
+    """Compile each page line's ``(bank, row, col)`` delta into runs.
+
+    Cached like :func:`_xor_tables`, so mappings with the same
+    definition share one layout.
+    """
+    lines = sorted(range(LINES_PER_PAGE), key=line_keys.__getitem__)
+    runs: List[List[int]] = []
+    for line in lines:
+        bank, row, col = line_keys[line]
+        if runs and runs[-1][:2] == [bank, row] and sum(runs[-1][2:]) == col:
+            runs[-1][3] += LINE_BYTES
+        else:
+            runs.append([bank, row, col, LINE_BYTES])
+    order = inverse = None
+    if lines != list(range(LINES_PER_PAGE)):
+        positions = [0] * LINES_PER_PAGE
+        for position, line in enumerate(lines):
+            positions[line] = position
+        order = np.array(lines, dtype=np.intp)
+        inverse = np.array(positions, dtype=np.intp)
+        order.flags.writeable = inverse.flags.writeable = False
+    return PageLayout(tuple(tuple(run) for run in runs), order, inverse)
+
+
 @dataclass(frozen=True)
 class AddressMapping:
     """An invertible physical-address to DRAM-address mapping.
@@ -107,6 +161,10 @@ class AddressMapping:
         rows, 6 for :func:`interleaved_mapping`).  Every
         ``2**run_shift``-aligned block is one contiguous byte run of a
         single row, which is what the module's bulk copies rely on.
+    page_layout:
+        Derived: the :class:`PageLayout` of every 4 KiB page (one run
+        for :func:`linear_mapping`, two 2 KiB runs for
+        :func:`interleaved_mapping`).
     """
 
     geometry: DramGeometry
@@ -217,16 +275,21 @@ class AddressMapping:
             run_shift += 1
         # A page's line offsets share no bit with its page-aligned base,
         # so by linearity each line's (bank, row) is the base's XOR the
-        # offset's: keep the distinct offset parts, in line order.
-        page_deltas: List[Tuple[int, int]] = []
+        # offset's and its column the base's plus the offset's.
+        line_keys = []
         for offset in range(0, PAGE_BYTES, LINE_BYTES):
             packed = 0
-            for pos in range(geo.addr_bits):
+            for pos in range(PAGE_SHIFT):
                 if (offset >> pos) & 1:
                     packed ^= forward[pos]
-            delta = (packed >> bank_shift, (packed >> row_shift) & row_mask)
-            if delta not in page_deltas:
-                page_deltas.append(delta)
+            line_keys.append((packed >> bank_shift,
+                              (packed >> row_shift) & row_mask,
+                              packed & col_mask))
+        # page_rows keeps the distinct (bank, row) deltas in line order.
+        page_deltas: List[Tuple[int, int]] = []
+        for bank, row, _col in line_keys:
+            if (bank, row) not in page_deltas:
+                page_deltas.append((bank, row))
         tables, chunk_mask = _xor_tables(tuple(forward))
         object.__setattr__(self, "_to_dram", (
             geo.capacity_bytes, tables, chunk_mask, bank_shift, row_shift,
@@ -235,6 +298,7 @@ class AddressMapping:
         object.__setattr__(self, "_to_phys", (
             tables, chunk_mask, bank_shift, row_shift, geo.row_bytes))
         object.__setattr__(self, "_page_deltas", tuple(page_deltas))
+        object.__setattr__(self, "page_layout", _page_layout(tuple(line_keys)))
         object.__setattr__(self, "run_shift", run_shift)
 
     # The compiled tables are derived, immutable state: copies share

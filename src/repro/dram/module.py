@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..clock import SimClock
 from ..errors import DramError
 from .address import AddressMapping, DramAddress
@@ -34,7 +36,7 @@ from .chiptrr import ChipTrr, TrrParams
 from .dense import DenseDisturbanceEngine
 from .disturbance import DisturbanceParams, FlipEvent
 from .feed import ActivationFeed, RefreshActuator
-from .geometry import DramGeometry, LINE_BYTES
+from .geometry import DramGeometry, LINE_BYTES, PAGE_BYTES
 from .remap import IdentityRemap, RowRemap
 from .timing import DramTimings
 
@@ -102,6 +104,7 @@ class DramModule:
             self.feed.subscribe(self.trr)
         self._banks: List[BankState] = [BankState() for _ in range(self.geometry.num_banks)]
         self._rows: Dict[Tuple[int, int], bytearray] = {}
+        self._capacity = self.geometry.capacity_bytes
         self.flip_log: List[FlipEvent] = []
         self.applied_flips = 0
         self.reads = 0
@@ -420,6 +423,27 @@ class DramModule:
     def raw_read(self, paddr: int, size: int) -> bytes:
         """Side-effect-free read for integrity checks and test setup."""
         rows = self._rows
+        mapping = self.mapping
+        if size > 0 and 0 <= paddr < self._capacity:
+            block = 1 << mapping.run_shift
+            if (paddr & (block - 1)) + size <= block:
+                bank, row, col = mapping.phys_to_dram(paddr)
+                data = rows.get((bank, row))
+                return bytes(size) if data is None else bytes(data[col:col + size])
+            if size == PAGE_BYTES and not paddr & (PAGE_BYTES - 1):
+                layout = mapping.page_layout
+                bank, row, col = mapping.phys_to_dram(paddr)
+                parts = []
+                for bank_delta, row_delta, col_delta, length in layout.runs:
+                    data = rows.get((bank ^ bank_delta, row ^ row_delta))
+                    start = col + col_delta
+                    parts.append(bytes(length) if data is None
+                                 else data[start:start + length])
+                out = b"".join(parts)
+                if layout.inverse is None:
+                    return out
+                return np.frombuffer(out, np.uint8).reshape(
+                    -1, LINE_BYTES)[layout.inverse].tobytes()
         out = bytearray()
         for bank, row, col, chunk in self._runs(paddr, size):
             data = rows.get((bank, row))
@@ -431,8 +455,29 @@ class DramModule:
 
     def raw_write(self, paddr: int, payload: bytes) -> None:
         """Side-effect-free write for test setup."""
+        size = len(payload)
+        mapping = self.mapping
+        if size > 0 and 0 <= paddr < self._capacity:
+            block = 1 << mapping.run_shift
+            if (paddr & (block - 1)) + size <= block:
+                bank, row, col = mapping.phys_to_dram(paddr)
+                self._row_data(bank, row)[col:col + size] = payload
+                return
+            if size == PAGE_BYTES and not paddr & (PAGE_BYTES - 1):
+                layout = mapping.page_layout
+                if layout.order is not None:
+                    payload = np.frombuffer(payload, np.uint8).reshape(
+                        -1, LINE_BYTES)[layout.order].tobytes()
+                bank, row, col = mapping.phys_to_dram(paddr)
+                pos = 0
+                for bank_delta, row_delta, col_delta, length in layout.runs:
+                    start = col + col_delta
+                    self._row_data(bank ^ bank_delta, row ^ row_delta)[
+                        start:start + length] = payload[pos:pos + length]
+                    pos += length
+                return
         pos = 0
-        for bank, row, col, chunk in self._runs(paddr, len(payload)):
+        for bank, row, col, chunk in self._runs(paddr, size):
             self._row_data(bank, row)[col : col + chunk] = payload[pos : pos + chunk]
             pos += chunk
 

@@ -9,7 +9,8 @@ Two access planes again:
   page-table row*.  That activation is the entire physical basis of
   PThammer (implicitly hammering L1PTEs via page walks), so it must not
   be shortcut.
-* **raw** (:meth:`PageTableOps.raw_read_entry` / ``raw_write_entry``) —
+* **raw** (:meth:`PageTableOps.raw_read_entry` / ``raw_write_entry``,
+  and :meth:`PageTableOps.raw_read_table` for a whole table) —
   instrumentation for tests and integrity checks; free of time and
   side effects.
 """
@@ -17,6 +18,7 @@ Two access planes again:
 from __future__ import annotations
 
 import struct
+from typing import Tuple
 
 from ..dram.module import DramModule
 from ..errors import MmuError
@@ -24,6 +26,7 @@ from .bits import ENTRIES_PER_TABLE, PAGE_SHIFT
 from .cache import CpuCache
 
 _ENTRY = struct.Struct("<Q")
+_TABLE = struct.Struct(f"<{ENTRIES_PER_TABLE}Q")
 
 
 class PageTableOps:
@@ -65,6 +68,11 @@ class PageTableOps:
         """Instrumentation read: no time, no activation."""
         paddr = self.entry_paddr(table_ppn, index)
         return _ENTRY.unpack(self.dram.raw_read(paddr, 8))[0]
+
+    def raw_read_table(self, table_ppn: int) -> Tuple[int, ...]:
+        """Instrumentation read of all entries of a table page at once."""
+        return _TABLE.unpack(self.dram.raw_read(table_ppn << PAGE_SHIFT,
+                                                _TABLE.size))
 
     def raw_write_entry(self, table_ppn: int, index: int, value: int) -> None:
         """Instrumentation write: no time, no activation."""

@@ -60,7 +60,8 @@ class TestTranslateRows:
             ("linear", 13), ("interleaved", 6)]
         for row in rows:
             for key in ("phys_to_dram_ns", "dram_to_phys_ns",
-                        "raw_write_4k_ns"):
+                        "raw_write_4k_ns", "raw_read_4k_ns",
+                        "raw_read_8b_ns"):
                 assert row[key] > 0
 
     def test_committed_baseline_carries_translate_rows(self):

@@ -25,6 +25,7 @@ from repro.core.softtrr import SoftTrr
 from repro.dram.disturbance import FlipEvent
 from repro.errors import SanitizerViolationError
 from repro.kernel.kernel import Kernel
+from repro.kernel.physmem import FrameUse
 from repro.kernel.vma import PAGE
 from repro.mmu import bits
 from repro.mmu.tlb import TlbEntry
@@ -259,6 +260,44 @@ class TestRowShadowSanitizer:
         kernel.munmap(proc, extra, 8 * PAGE)
         manager.checkpoint()
         assert len(manager.report.by_sanitizer("row_shadow")) == 0
+
+
+    @pytest.mark.parametrize("mapping_kind", ["linear", "interleaved"])
+    def test_page_zeroing_and_write_run_reach_the_choke_point(
+            self, mapping_kind):
+        """Whole-page copies and ``write_run`` still go through the
+        wrapped ``raw_write``: a protected page rewritten by
+        ``alloc_frame``'s zeroing and by a ``write_run`` keeps a clean
+        shadow, and a real flip into it is still reported."""
+        kernel = Kernel(dataclasses.replace(tiny_machine(),
+                                            mapping_kind=mapping_kind))
+        proc = kernel.create_process("app")
+        base = kernel.mmap(proc, PAGES * PAGE)
+        for i in range(PAGES):
+            kernel.user_write(proc, base + i * PAGE, bytes([i]))
+        softtrr = SoftTrr(SoftTrrParams())
+        kernel.load_module("softtrr", softtrr)
+        dram = kernel.dram
+        ppn = kernel.alloc_frame(FrameUse.USER)
+        kernel.free_frame(ppn)
+        softtrr.collector.protect_object_page(ppn)
+        dram.raw_write(ppn << bits.PAGE_SHIFT, bytes(range(256)) * 16)
+        manager = install_sanitizers(kernel, strict=True)
+        manager.checkpoint()  # shadow = the pattern above
+        assert kernel.alloc_frame(FrameUse.USER) == ppn  # zeroes it
+        manager.checkpoint()
+        paddr = (ppn << bits.PAGE_SHIFT) + 0x7C0
+        dram.write(paddr, b"open")  # opens the line's row
+        assert dram.write_run(paddr, b"runs", 3)
+        manager.checkpoint()
+        assert manager.report.violations == []
+        assert dram.raw_read(paddr, 4) == b"runs"
+        loc = dram.mapping.phys_to_dram(paddr)
+        dram._apply_flips([FlipEvent(
+            bank=loc.bank, row=loc.row, bit_offset=loc.col * 8,
+            from_value=ord("r") & 1, at_ns=kernel.clock.now_ns)])
+        with pytest.raises(SanitizerViolationError, match="diverged"):
+            manager.checkpoint()
 
 
 # ====================================================================

@@ -2,8 +2,9 @@
 
 :mod:`tests.dram.reference_address` translates straight from a mapping's
 definition, one bit at a time.  These properties hold the lookup-table
-mapping and the module's block-wise bulk copies equal to it, on random
-valid mappings and on every machine profile's mapping.
+mapping, the module's block-wise bulk copies and its whole-page copies
+equal to it, on random valid mappings, on every machine profile's
+mapping and on hand-built mappings with awkward page layouts.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.clock import SimClock
 from repro.config import MACHINES, machine, tiny_machine
 from repro.dram.address import AddressMapping, interleaved_mapping, linear_mapping
-from repro.dram.geometry import DramGeometry, LINE_SHIFT
+from repro.dram.geometry import DramGeometry, LINE_SHIFT, PAGE_BYTES
 from repro.dram.module import DramModule
 from repro.errors import AddressMappingError, ConfigError, DramError
 
@@ -191,3 +192,151 @@ class TestBulkCopies:
             paddr, size = _span(data, capacity)
             assert blockwise.raw_read(paddr, size) == ref.raw_read(
                 blockwise, paddr, size)
+
+
+def _bits(*positions: int) -> int:
+    mask = 0
+    for pos in positions:
+        mask |= 1 << pos
+    return mask
+
+
+_GEO = DramGeometry(num_banks=8, rows_per_bank=64, row_bytes=8192)
+
+#: Bank bits at physical bits 6 and 7: each page spans four banks.
+FOUR_BANK_PAGES = AddressMapping(
+    geometry=_GEO,
+    bank_masks=(_bits(6, 16), _bits(7, 17), _bits(15, 18)),
+    row_bits=tuple(range(16, 22)),
+    col_bits=tuple(range(6)) + tuple(range(8, 15)),
+)
+
+#: Column index bit 6 is physical bit 20, above the page offset, and a
+#: bank mask takes in column bit 9: a page spans four banks whose
+#: columns step by 128 bytes, so every bank holds 16 one-line runs, and
+#: a page base's column is not a multiple of 4 KiB.
+SPLIT_COLUMN_PAGES = AddressMapping(
+    geometry=_GEO,
+    bank_masks=(_bits(6, 15), _bits(13, 9), _bits(14, 21)),
+    row_bits=(15, 16, 17, 18, 19, 21),
+    col_bits=tuple(range(6)) + (20, 7, 8, 9, 10, 11, 12),
+)
+
+AWKWARD_MAPPINGS = [FOUR_BANK_PAGES, SPLIT_COLUMN_PAGES]
+
+
+def _page_payload(data) -> bytes:
+    """4 KiB that differ in every line, so a misplaced line shows."""
+    seed = data.draw(st.binary(min_size=64, max_size=64))
+    return bytes((seed[i % 64] + i // 64) & 0xFF for i in range(PAGE_BYTES))
+
+
+class TestPageLayout:
+    def test_profile_layouts(self):
+        geo = machine("perf_testbed").geometry
+        linear = linear_mapping(geo).page_layout
+        assert linear.runs == ((0, 0, 0, PAGE_BYTES),)
+        assert linear.order is None and linear.inverse is None
+        interleaved = interleaved_mapping(geo).page_layout
+        assert [run[3] for run in interleaved.runs] == [2048, 2048]
+        assert len({run[0] for run in interleaved.runs}) == 2
+        assert interleaved.order is not None
+
+    def test_awkward_layouts(self):
+        runs = FOUR_BANK_PAGES.page_layout.runs
+        assert len({run[0] for run in runs}) == 4
+        runs = SPLIT_COLUMN_PAGES.page_layout.runs
+        assert len(runs) == 64
+        assert len({run[0] for run in runs}) == 4
+
+    @given(mapping=mappings())
+    @settings(max_examples=60, deadline=None)
+    def test_layout_is_a_permutation_of_the_page(self, mapping):
+        layout = mapping.page_layout
+        assert sum(run[3] for run in layout.runs) == PAGE_BYTES
+        if layout.order is not None:
+            assert sorted(layout.order) == list(range(64))
+            assert list(layout.order[layout.inverse]) == list(range(64))
+
+    def test_layout_is_shared_and_read_only(self):
+        geo = machine("perf_testbed").geometry
+        a, b = interleaved_mapping(geo), interleaved_mapping(geo)
+        assert a.page_layout is b.page_layout
+        with pytest.raises(ValueError):
+            a.page_layout.order[0] = 1
+
+
+class TestPageCopies:
+    """Whole-page ``raw_read``/``raw_write`` == per-line reference."""
+
+    @pytest.mark.parametrize("mapping", PROFILE_MAPPINGS + AWKWARD_MAPPINGS,
+                             ids=lambda m: f"{m.geometry.addr_bits}b-{m.run_shift}")
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_fixed_mapping_pages_match_reference(self, mapping, data):
+        self._check_pages(mapping, data)
+
+    @given(mapping=mappings(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_mapping_pages_match_reference(self, mapping, data):
+        self._check_pages(mapping, data)
+
+    @staticmethod
+    def _check_pages(mapping, data):
+        paged, per_line = _module(mapping), _module(mapping)
+        last = (mapping.geometry.capacity_bytes >> 12) - 1
+        ppns = data.draw(st.lists(st.integers(0, last), min_size=1, max_size=4))
+        for ppn in ppns + [last]:
+            payload = _page_payload(data)
+            paged.raw_write(ppn << 12, payload)
+            ref.raw_write(per_line, ppn << 12, payload)
+            assert paged._rows == per_line._rows
+            assert paged.raw_read(ppn << 12, PAGE_BYTES) == payload
+        # A page never written reads as zeros, also next to written ones.
+        fresh = data.draw(st.integers(0, last))
+        assert paged.raw_read(fresh << 12, PAGE_BYTES) == ref.raw_read(
+            per_line, fresh << 12, PAGE_BYTES)
+        # Spans across page boundaries and sub-block spans take the
+        # general and the single-block paths over the same bytes.
+        for _ in range(4):
+            paddr, size = _span(data, mapping.geometry.capacity_bytes)
+            assert paged.raw_read(paddr, size) == ref.raw_read(
+                per_line, paddr, size)
+        if last:  # a page-sized write that straddles two pages
+            paddr = data.draw(st.integers(1, last * PAGE_BYTES - 1))
+            payload = _page_payload(data)
+            paged.raw_write(paddr, payload)
+            ref.raw_write(per_line, paddr, payload)
+            assert paged._rows == per_line._rows
+            assert paged.raw_read(paddr & ~0xFFF, PAGE_BYTES) == ref.raw_read(
+                per_line, paddr & ~0xFFF, PAGE_BYTES)
+
+    @pytest.mark.parametrize("mapping", AWKWARD_MAPPINGS + PROFILE_MAPPINGS[:2],
+                             ids=lambda m: f"{m.geometry.addr_bits}b-{m.run_shift}")
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_sub_block_reads_of_unwritten_rows_are_zero(self, mapping, data):
+        dram = _module(mapping)
+        block = 1 << mapping.run_shift
+        capacity = mapping.geometry.capacity_bytes
+        base = data.draw(st.integers(0, capacity // block - 1)) * block
+        offset = data.draw(st.integers(0, block - 1))
+        size = data.draw(st.integers(1, block - offset))
+        assert dram.raw_read(base + offset, size) == bytes(size)
+        payload = data.draw(st.binary(min_size=size, max_size=size))
+        dram.raw_write(base + offset, payload)
+        assert dram.raw_read(base + offset, size) == payload
+        assert dram.raw_read(base, block) == ref.raw_read(dram, base, block)
+
+    @pytest.mark.parametrize("mapping", AWKWARD_MAPPINGS + PROFILE_MAPPINGS[:2],
+                             ids=lambda m: f"{m.geometry.addr_bits}b-{m.run_shift}")
+    def test_spans_past_capacity_still_raise(self, mapping):
+        dram = _module(mapping)
+        capacity = mapping.geometry.capacity_bytes
+        for paddr, size in ((capacity, PAGE_BYTES), (capacity - PAGE_BYTES + 8,
+                                                      PAGE_BYTES),
+                            (capacity, 8), (-PAGE_BYTES, PAGE_BYTES)):
+            with pytest.raises(DramError, match="outside capacity"):
+                dram.raw_read(paddr, size)
+            with pytest.raises(DramError, match="outside capacity"):
+                dram.raw_write(paddr, bytes(size))

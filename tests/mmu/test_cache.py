@@ -67,6 +67,23 @@ class TestDataPath:
         cache.store(dram, 0x3000, b"hi")
         assert dram.raw_read(0x3000, 2) == b"hi"
 
+    def test_miss_returns_read_bytes_without_raw_read(self):
+        clock, dram, cache = bed()
+        payload = bytes(range(100, 200))
+        dram.raw_write(0x2000 - 30, payload)
+        raw_reads = []
+        raw_read = dram.raw_read
+
+        def counting_raw_read(paddr, size):
+            raw_reads.append((paddr, size))
+            return raw_read(paddr, size)
+
+        dram.raw_read = counting_raw_read
+        got = cache.load(dram, 0x2000 - 30, 100)
+        assert cache.misses == 3 and cache.hits == 0
+        assert raw_reads == []
+        assert got == raw_read(0x2000 - 30, 100) == payload
+
     def test_load_spanning_lines(self):
         clock, dram, cache = bed()
         payload = bytes(range(130))
