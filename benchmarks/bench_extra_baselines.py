@@ -24,14 +24,7 @@ from conftest import scale
 from repro.analysis.security import run_baseline_matrix
 from repro.analysis.tables import render_matrix
 from repro.config import tiny_machine
-from repro.core.profile import SoftTrrParams
-from repro.defenses.alis import AlisDefense
-from repro.defenses.anvil import AnvilDefense
-from repro.defenses.base import NoDefense, SoftTrrDefense, boot_kernel
-from repro.defenses.catt import CattDefense
-from repro.defenses.cta import CtaDefense
-from repro.defenses.riprh import RipRhDefense
-from repro.defenses.zebram import ZebramDefense
+from repro.defenses import CattDefense, boot_kernel
 from repro.errors import DefenseError
 from repro.kernel.physmem import FrameUse
 
@@ -40,60 +33,28 @@ ROUNDS = scale(3000, 6000)
 EXPECTED = {
     ("vanilla", "memory_spray"): "bypassed",
     ("vanilla", "cattmew"): "bypassed",
-    ("vanilla", "pthammer"): "bypassed",
+    ("vanilla", "pthammer_spray"): "bypassed",
     ("catt", "memory_spray"): "blocked",
     ("catt", "cattmew"): "bypassed",
-    ("catt", "pthammer"): "bypassed",
+    ("catt", "pthammer_spray"): "bypassed",
     ("cta", "memory_spray"): "blocked",
     ("cta", "cattmew"): "blocked",
-    ("cta", "pthammer"): "bypassed",
+    ("cta", "pthammer_spray"): "bypassed",
     ("zebram", "memory_spray"): "blocked",
     ("zebram", "memory_spray_d2"): "bypassed",
     ("anvil", "memory_spray"): "blocked",
-    ("anvil", "pthammer"): "bypassed",
+    ("anvil", "pthammer_spray"): "bypassed",
     ("riprh", "memory_spray"): "bypassed",
     ("alis", "cattmew"): "blocked",
     ("alis", "memory_spray"): "bypassed",
     ("softtrr", "memory_spray"): "blocked",
     ("softtrr", "cattmew"): "blocked",
-    ("softtrr", "pthammer"): "blocked",
+    ("softtrr", "pthammer_spray"): "blocked",
 }
-
-TINY_SOFTTRR = SoftTrrParams(timer_inr_ns=50_000)
-TINY_ANVIL = dict(interval_ns=50_000, miss_threshold=300, row_threshold=3)
 
 
 def test_baseline_matrix(benchmark, announce):
-    spec = tiny_machine
-    cells = []
-    cells += run_baseline_matrix(
-        spec, {"vanilla": NoDefense()},
-        ["memory_spray", "cattmew", "pthammer"], template_rounds=ROUNDS)
-    cells += run_baseline_matrix(
-        spec, {"catt": CattDefense()},
-        ["memory_spray", "cattmew", "pthammer"], template_rounds=ROUNDS)
-    cells += run_baseline_matrix(
-        spec, {"cta": CtaDefense()},
-        ["memory_spray", "cattmew", "pthammer"], template_rounds=ROUNDS)
-    cells += run_baseline_matrix(
-        spec, {"zebram": ZebramDefense()},
-        ["memory_spray", "memory_spray_d2"], template_rounds=ROUNDS)
-    cells += run_baseline_matrix(
-        spec, {"anvil": AnvilDefense(**TINY_ANVIL)},
-        ["memory_spray", "pthammer"], template_rounds=ROUNDS)
-    cells += run_baseline_matrix(
-        spec, {"riprh": RipRhDefense()},
-        ["memory_spray"], template_rounds=ROUNDS)
-    cells += run_baseline_matrix(
-        spec, {"alis": AlisDefense()},
-        ["memory_spray"], template_rounds=ROUNDS)
-    cells += run_baseline_matrix(
-        spec, {"alis": AlisDefense()},
-        ["cattmew"], template_rounds=ROUNDS,
-        region_pages=96)  # fit inside ALIS's bounded DMA partition
-    cells += run_baseline_matrix(
-        spec, {"softtrr": SoftTrrDefense(TINY_SOFTTRR)},
-        ["memory_spray", "cattmew", "pthammer"], template_rounds=ROUNDS)
+    cells = run_baseline_matrix(template_rounds=ROUNDS)
     announce("extra_baselines.txt", render_matrix(cells))
     got = {(c.defense, c.attack): c.verdict for c in cells}
     for key, expected in EXPECTED.items():

@@ -26,7 +26,7 @@ from repro.attacks.memory_spray import MemorySprayAttack
 from repro.config import tiny_machine
 from repro.core.profile import SoftTrrParams
 from repro.core.softtrr import SoftTrr
-from repro.defenses.base import boot_kernel
+from repro.defenses import boot_kernel
 from repro.errors import TemplatingError
 
 BASE_ROUNDS = scale(4000, 8000)

@@ -18,7 +18,7 @@ from repro.clock import NS_PER_MS
 from repro.config import optiplex_990
 from repro.core.profile import OfflineProfile, SoftTrrParams
 from repro.core.softtrr import SoftTrr
-from repro.defenses.base import boot_kernel
+from repro.defenses import boot_kernel
 from repro.dram.timing import DDR3_TIMINGS, DDR4_TIMINGS
 
 ROUNDS = scale(16_000, 22_000)

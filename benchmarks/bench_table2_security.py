@@ -18,8 +18,8 @@ from repro.analysis.tables import render_table2
 from repro.attacks.memory_spray import MemorySprayAttack
 from repro.config import optiplex_390
 from repro.core.profile import SoftTrrParams
+from repro.defenses import SoftTrrDefense, boot_kernel
 from repro.patterns import round_robin
-from repro.defenses.base import SoftTrrDefense, boot_kernel
 
 M = scale(2, 4)
 ROUNDS = scale(16_000, 22_000)

@@ -22,7 +22,7 @@ from repro.attacks.cattmew import CattmewAttack
 from repro.attacks.memory_spray import MemorySprayAttack
 from repro.attacks.pthammer import PthammerAttack
 from repro.config import optiplex_390, optiplex_990, thinkpad_x230
-from repro.defenses.base import boot_kernel
+from repro.defenses import boot_kernel
 
 SCENARIOS = (
     ("Memory Spray [41], 3-sided (TRRespass)", optiplex_390,

@@ -8,21 +8,18 @@ Table II checkmark: "Bit Flip Failed?").
 ``run_baseline_matrix`` reproduces the comparison claims of Sections
 I/II: which of CATT / CTA / ZebRAM / ANVIL stop which attack, and why
 SoftTRR is the only one that stops all of them.
+
+Both are folds over the scenario registry's ``table2`` / ``baselines``
+attack cells, executed by :func:`repro.scenarios.runner.run_scenario` —
+the registry is the one place the grids and their knobs live.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Type
+from dataclasses import dataclass, replace
+from typing import List
 
-from ..attacks.base import AttackOutcome, PageTableAttack
-from ..attacks.cattmew import CattmewAttack
-from ..attacks.memory_spray import MemorySprayAttack
-from ..attacks.pthammer import PthammerAttack, PthammerSprayAttack
-from ..config import MachineSpec, optiplex_390, optiplex_990, thinkpad_x230
-from ..core.profile import SoftTrrParams
-from ..defenses.base import Defense, SoftTrrDefense, boot_kernel
-from ..errors import AttackError, DefenseError, TemplatingError
+from ..config import machine as machine_spec
 
 
 @dataclass
@@ -36,7 +33,7 @@ class Table2Row:
     m: int
     baseline_flipped_pages: int
     softtrr_flipped_pages: int
-    softtrr_refreshes: int
+    softtrr_pt_flip_events: int
     bit_flip_failed: bool
 
     @property
@@ -45,51 +42,40 @@ class Table2Row:
         return "yes" if self.bit_flip_failed else "NO"
 
 
-#: Table II configuration: machine profile, attack class, hammer budget.
-TABLE2_CONFIG = (
-    (optiplex_390, MemorySprayAttack, 8_000_000),
-    (optiplex_990, CattmewAttack, 8_000_000),
-    (thinkpad_x230, PthammerAttack, 16_000_000),
-)
+def _run_group(group: str, **overrides) -> list:
+    """``(spec, payload)`` per registry cell of ``group``, with
+    ``overrides`` applied to each cell's params."""
+    # Imported here: the registry imports analysis.zoo, and so this
+    # package, at module level.
+    from ..scenarios.registry import scenario_group
+    from ..scenarios.runner import run_scenario
 
-
-def _run_attack_once(spec_factory: Callable[[], MachineSpec],
-                     attack_cls: Type[PageTableAttack],
-                     *, softtrr: bool, m: int, hammer_ns: int,
-                     region_pages: int, template_rounds: int) -> AttackOutcome:
-    kernel = boot_kernel(spec_factory())
-    attack = attack_cls(kernel, m=m, region_pages=region_pages,
-                        template_rounds=template_rounds)
-    attack.setup()
-    if softtrr:
-        SoftTrrDefense(SoftTrrParams()).install(kernel)
-    return attack.run(hammer_ns_per_victim=hammer_ns)
+    out = []
+    for spec in scenario_group(group):
+        spec = replace(spec, params={**spec.params, **overrides})
+        out.append((spec, run_scenario(spec).payload))
+    return out
 
 
 def run_table2(m: int = 2, region_pages: int = 320,
                template_rounds: int = 22_000) -> List[Table2Row]:
     """Regenerate Table II (scaled: m victims per attack)."""
+    cells = _run_group("table2", m=m, region_pages=region_pages,
+                       template_rounds=template_rounds)
     rows: List[Table2Row] = []
-    for spec_factory, attack_cls, hammer_ns in TABLE2_CONFIG:
-        spec = spec_factory()
-        baseline = _run_attack_once(
-            spec_factory, attack_cls, softtrr=False, m=m,
-            hammer_ns=hammer_ns, region_pages=region_pages,
-            template_rounds=template_rounds)
-        defended = _run_attack_once(
-            spec_factory, attack_cls, softtrr=True, m=m,
-            hammer_ns=hammer_ns, region_pages=region_pages,
-            template_rounds=template_rounds)
+    # The registry lists each attack's vanilla cell, then its softtrr one.
+    for (spec, baseline), (_, defended) in zip(cells[::2], cells[1::2]):
+        hardware = machine_spec(spec.machine)
         rows.append(Table2Row(
-            machine=spec.name,
-            cpu=f"{spec.cpu_arch}/{spec.cpu_model}",
-            dram=spec.dram_part,
-            attack=attack_cls.name,
+            machine=hardware.name,
+            cpu=f"{hardware.cpu_arch}/{hardware.cpu_model}",
+            dram=hardware.dram_part,
+            attack=spec.attack,
             m=m,
-            baseline_flipped_pages=len(baseline.flipped_pt_pages),
-            softtrr_flipped_pages=len(defended.flipped_pt_pages),
-            softtrr_refreshes=defended.flip_events_in_pts,
-            bit_flip_failed=defended.bit_flip_failed,
+            baseline_flipped_pages=len(baseline["flipped_pt_pages"]),
+            softtrr_flipped_pages=len(defended["flipped_pt_pages"]),
+            softtrr_pt_flip_events=defended["flip_events_in_pts"],
+            bit_flip_failed=defended["bit_flip_failed"],
         ))
     return rows
 
@@ -107,65 +93,21 @@ class MatrixCell:
     detail: str = ""
 
 
-def _matrix_attack(kernel, attack_name: str, *, m: int,
-                   region_pages: int, template_rounds: int,
-                   hammer_ns: int) -> AttackOutcome:
-    if attack_name == "memory_spray":
-        attack = MemorySprayAttack(kernel, m=m, region_pages=region_pages,
-                                   template_rounds=template_rounds)
-    elif attack_name == "memory_spray_d2":
-        attack = MemorySprayAttack(kernel, m=m, region_pages=region_pages,
-                                   template_rounds=template_rounds,
-                                   pattern_override="distance_two")
-    elif attack_name == "cattmew":
-        attack = CattmewAttack(kernel, m=m, region_pages=region_pages,
-                               template_rounds=template_rounds)
-    elif attack_name == "pthammer":
-        attack = PthammerSprayAttack(kernel, spray_count=96, victims=m)
-        attack.setup()
-        return attack.run(hammer_ns_per_victim=hammer_ns)
-    else:
-        raise AttackError(f"unknown matrix attack {attack_name!r}")
-    attack.setup()
-    return attack.run(hammer_ns_per_victim=hammer_ns)
-
-
-def run_baseline_matrix(spec_factory: Callable[[], MachineSpec],
-                        defenses: Dict[str, Defense],
-                        attacks: List[str],
-                        *, m: int = 1, region_pages: int = 224,
-                        template_rounds: int = 5_000,
-                        hammer_ns: int = 4_000_000) -> List[MatrixCell]:
-    """Run every (defense, attack) pair; returns the matrix cells.
+def run_baseline_matrix(template_rounds: int = 3_000) -> List[MatrixCell]:
+    """Run every registry (defense, attack) pair; returns the cells.
 
     A defense "blocks" an attack either structurally (templating finds
-    nothing / the kernel refuses the placement) or dynamically (the
-    hammering produces no flips in L1PT pages).
+    nothing / the kernel refuses the placement; the payload says which)
+    or dynamically (the hammering produces no flips in L1PT pages).
     """
-    cells: List[MatrixCell] = []
-    for defense_name, defense in defenses.items():
-        for attack_name in attacks:
-            kernel = boot_kernel(spec_factory(), defense)
-            try:
-                outcome = _matrix_attack(
-                    kernel, attack_name, m=m,
-                    region_pages=region_pages,
-                    template_rounds=template_rounds,
-                    hammer_ns=hammer_ns)
-            except (DefenseError, TemplatingError) as exc:
-                cells.append(MatrixCell(
-                    defense=defense_name, attack=attack_name,
-                    verdict="blocked",
-                    detail=f"{type(exc).__name__}: structural"))
-                continue
-            except AttackError as exc:
-                cells.append(MatrixCell(
-                    defense=defense_name, attack=attack_name,
-                    verdict="blocked", detail=str(exc)[:60]))
-                continue
-            cells.append(MatrixCell(
-                defense=defense_name, attack=attack_name,
-                verdict="bypassed" if outcome.succeeded else "blocked",
-                detail=f"{len(outcome.flipped_pt_pages)}/{outcome.m} PTs flipped",
-            ))
-    return cells
+    return [
+        MatrixCell(
+            defense=spec.defense,
+            attack=spec.attack,
+            verdict=payload["verdict"],
+            detail=payload["detail"] if "detail" in payload else
+            f"{len(payload['flipped_pt_pages'])}/{payload['m']} PTs flipped",
+        )
+        for spec, payload in _run_group(
+            "baselines", template_rounds=template_rounds)
+    ]

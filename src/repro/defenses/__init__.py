@@ -18,9 +18,9 @@
 * :mod:`repro.defenses.trackers` — the pluggable tracker zoo (ChipTRR,
   PARA, Misra-Gries/Graphene, PTMP, DAPPER) riding the DRAM module's
   activation feed.
-* :mod:`repro.defenses.base`   — the common interface, the
-  ``@register_defense`` registry and the ``boot_kernel`` helper the
-  security benches use.
+* :mod:`repro.defenses.base`   — the common interface and the
+  ``@register_defense`` registry.  ``boot_kernel`` is re-exported from
+  :mod:`repro.machine`.
 """
 
 from .base import (
@@ -29,9 +29,9 @@ from .base import (
     DefenseRegistry,
     NoDefense,
     SoftTrrDefense,
-    boot_kernel,
     register_defense,
 )
+from ..machine import boot_kernel
 from .catt import CattDefense, RegionPolicy
 from .cta import CtaDefense
 from .zebram import ZebramDefense, StripedPolicy

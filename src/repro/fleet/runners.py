@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from dataclasses import replace
 from typing import Dict, List, Mapping, Optional
 
 from ..errors import ConfigError
@@ -57,32 +58,22 @@ def materialise_scenario(cell: Mapping):
     replaces the base spec's defense/params wholesale when set.
     """
     from ..scenarios.registry import scenario
-    from ..scenarios.spec import ScenarioSpec
 
-    base = scenario(cell["scenario"])
-    params = dict(base.params)
+    spec = _with_axes(scenario(cell["scenario"]), cell)
+    if cell.get("defense"):
+        spec = replace(spec, defense=cell["defense"],
+                       defense_params=dict(cell.get("defense_params") or {}))
+    return spec
+
+
+def _with_axes(spec, cell: Mapping):
+    """``spec`` with the cell's seed and fault-plan axes in its params."""
+    params = dict(spec.params)
     if cell.get("seed") is not None:
         params["seed"] = cell["seed"]
     if cell.get("fault_plan"):
         params["fault_plan"] = dict(cell["fault_plan"])
-    defense = base.defense
-    defense_params = base.defense_params
-    if cell.get("defense"):
-        defense = cell["defense"]
-        defense_params = dict(cell.get("defense_params") or {})
-    return ScenarioSpec(
-        name=base.name,
-        kind=base.kind,
-        group=base.group,
-        title=base.title,
-        machine=base.machine,
-        defense=defense,
-        defense_params=defense_params,
-        attack=base.attack,
-        workload=base.workload,
-        pattern=base.pattern,
-        params=params,
-    )
+    return replace(spec, params=params)
 
 
 def _run_scenario_cell(cell: Mapping, runner_params: Mapping,
@@ -118,63 +109,29 @@ def run_window_cell(
     protection story (flips, refreshes, windows covered, erosion under
     an active fault plan) plus the raw span histograms.
     """
-    from ..analysis.zoo import (
-        _PATTERN_MARGIN,
-        _PATTERN_OFFSETS,
-        TINY_DEFENSE_PARAMS,
-    )
-    from ..machine import Machine, MachineConfig
+    from ..analysis.zoo import build_cell_machine, hammer_sided
 
     if pattern not in WINDOW_PATTERNS:
         raise ConfigError(
             f"unknown window pattern {pattern!r}; known: "
             f"{WINDOW_PATTERNS}")
     defense = defense or "vanilla"
-    params: Dict[str, object] = dict(
-        TINY_DEFENSE_PARAMS.get(defense, {}) if machine_name == "tiny"
-        else {})
-    params.update(defense_params or {})
-    machine = Machine(MachineConfig(
-        machine=machine_name,
-        defense=defense,
-        defense_params=params,
-        sanitize=True,
-        strict_sanitizers=False,
-        seed=seed,
-        fault_plan=fault_plan,
-        trace="spans",
-    ))
-    dram = machine.dram
-    bank, victim, threshold = dram.engine.cheapest_victim(_PATTERN_MARGIN)
-    offsets = _PATTERN_OFFSETS[pattern]
-    budget = int(budget_factor * threshold)
-    per_round = max(1, budget // max(1, rounds))
-    aggressors = [
-        dram.mapping.dram_to_phys(bank, victim + offset, 0)
-        for offset in offsets]
-    hammer_start = machine.clock.now_ns
-    for _ in range(rounds):
-        for paddr in aggressors:
-            dram.hammer(paddr, per_round)
-    hammer_ns = machine.clock.now_ns - hammer_start
-    flips = sum(1 for flip in dram.flip_log if flip.at_ns >= hammer_start)
+    machine = build_cell_machine(defense, defense_params, machine_name,
+                                 seed, fault_plan, trace="spans")
+    fields, outcome = hammer_sided(machine, pattern, rounds, budget_factor)
+    hammer_ns = outcome.hammer_ns
     window_ns = _DEFAULT_WINDOW_NS
     softtrr = getattr(machine, "softtrr", None)
     if softtrr is not None:
         window_ns = softtrr.params.protection_window_ns
-    activations = dram.total_activations
-    refreshes = dram.actuator.refreshes
+    activations = machine.dram.total_activations
+    refreshes = machine.dram.actuator.refreshes
     payload: Dict[str, object] = {
         "kind": "window",
         "pattern": pattern,
         "defense": defense,
         "seed": seed,
-        "victim": [bank, victim],
-        "victim_threshold": threshold,
-        "aggressors": len(offsets),
-        "acts_per_aggressor": per_round * rounds,
-        "flip_events": flips,
-        "protected": flips == 0,
+        **fields,
         "activations": activations,
         "refreshes": refreshes,
         "refresh_overhead": (refreshes / activations
@@ -255,18 +212,7 @@ def _run_fuzz_cell(cell: Mapping, runner_params: Mapping,
         point, defense, fuzz_seed, target=target,
         defense_params=cell.get("defense_params"),
         machine_name=runner_params.get("machine", "tiny"))
-    params = dict(spec.params)
-    if cell.get("seed") is not None:
-        params["seed"] = cell["seed"]
-    if cell.get("fault_plan"):
-        params["fault_plan"] = dict(cell["fault_plan"])
-    from ..scenarios.spec import ScenarioSpec
-
-    payload = run_pattern_scenario(ScenarioSpec(
-        name=spec.name, kind=spec.kind, group=spec.group,
-        title=spec.title, machine=spec.machine, defense=spec.defense,
-        defense_params=spec.defense_params, pattern=spec.pattern,
-        params=params))
+    payload = run_pattern_scenario(_with_axes(spec, cell))
     payload["kind"] = "pattern"
     payload["point"] = point.to_dict()
     return payload

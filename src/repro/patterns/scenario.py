@@ -106,29 +106,6 @@ def _budget_bindings(pat: Pattern, bindings: Mapping, threshold: float,
     return out
 
 
-def _build_machine(defense: str, defense_params: Optional[Mapping],
-                   machine_name: str, seed: Optional[int],
-                   fault_plan: Optional[Mapping] = None):
-    """Sanitized machine with the tiny-scale defense params applied
-    (mirrors the zoo/window builders, plus the seed/fault-plan axes)."""
-    from ..analysis.zoo import TINY_DEFENSE_PARAMS
-    from ..machine import Machine, MachineConfig
-
-    params: Dict[str, object] = dict(
-        TINY_DEFENSE_PARAMS.get(defense, {}) if machine_name == "tiny"
-        else {})
-    params.update(defense_params or {})
-    return Machine(MachineConfig(
-        machine=machine_name,
-        defense=defense,
-        defense_params=params,
-        sanitize=True,
-        strict_sanitizers=False,
-        seed=seed,
-        fault_plan=fault_plan,
-    ))
-
-
 def run_pattern_cell(
     source,
     defense: str = "vanilla",
@@ -173,10 +150,10 @@ def _base_payload(pat: Pattern, plan: CompiledPlan, defense: str,
 
 def _run_rows_cell(pat, defense, defense_params, machine_name, seed,
                    bindings, use_batch, budget_factor, fault_plan) -> dict:
-    from ..analysis.zoo import _tracker_metrics
+    from ..analysis.zoo import _tracker_metrics, build_cell_machine
 
-    machine = _build_machine(defense, defense_params, machine_name, seed,
-                             fault_plan)
+    machine = build_cell_machine(defense, defense_params, machine_name,
+                                 seed, fault_plan)
     relative = "victim" in pat.param_names() and "victim" not in bindings
     if relative:
         offsets = _probe_offsets(pat, bindings)
@@ -210,7 +187,7 @@ def _run_rows_cell(pat, defense, defense_params, machine_name, seed,
 def _run_pt_cell(pat, defense, defense_params, machine_name, seed,
                  bindings, use_batch, budget_factor, region_pages,
                  fault_plan) -> dict:
-    from ..analysis.zoo import _tracker_metrics
+    from ..analysis.zoo import _tracker_metrics, build_cell_machine
     from ..attacks.hammer import HammerKit
     from ..attacks.placement import (
         free_user_frame,
@@ -226,8 +203,8 @@ def _run_pt_cell(pat, defense, defense_params, machine_name, seed,
             "unbound 'victim' parameter the cell can aim)")
     offsets = _probe_offsets(pat, bindings)
     margin = max(abs(off) for off in offsets)
-    machine = _build_machine(defense, defense_params, machine_name, seed,
-                             fault_plan)
+    machine = build_cell_machine(defense, defense_params, machine_name,
+                                 seed, fault_plan)
     kernel = machine.kernel
     attacker = kernel.create_process("pattern-attacker")
     kit = HammerKit(kernel, attacker, use_batch=use_batch)

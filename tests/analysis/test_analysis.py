@@ -94,7 +94,7 @@ class TestRendering:
     def test_render_table2(self):
         row = Table2Row(machine="M", cpu="C", dram="D", attack="a", m=2,
                         baseline_flipped_pages=2, softtrr_flipped_pages=0,
-                        softtrr_refreshes=9, bit_flip_failed=True)
+                        softtrr_pt_flip_events=9, bit_flip_failed=True)
         text = render_table2([row])
         assert "yes" in text and "Table II" in text
 

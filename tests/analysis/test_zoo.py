@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.zoo import (
+    DEFAULT_SEED,
     PATTERNS,
     ZOO_DEFENSES,
     run_zoo_cell,
@@ -107,6 +108,19 @@ class TestLiveCells:
     def test_unknown_pattern_rejected(self):
         with pytest.raises(ConfigError):
             run_zoo_cell("vanilla", "ten_sided")
+
+    def test_seed_reaches_the_machine(self):
+        from repro.config import tiny_machine
+
+        # The default cell simulates the tiny profile as shipped.
+        assert DEFAULT_SEED == tiny_machine().seed
+        default = run_zoo_cell("vanilla", "double_sided")
+        assert default == run_zoo_cell("vanilla", "double_sided", seed=7)
+        assert default["seed"] == 7
+        assert default["victim"] == [5, 7]
+        reseeded = run_zoo_cell("vanilla", "double_sided", seed=8)
+        assert reseeded["seed"] == 8
+        assert reseeded["victim"] == [3, 8]
 
     def test_sweep_parallel_matches_serial(self):
         specs = zoo_specs(defenses=("vanilla", "chiptrr"),

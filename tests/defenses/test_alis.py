@@ -6,7 +6,7 @@ from repro.attacks.cattmew import CattmewAttack
 from repro.attacks.memory_spray import MemorySprayAttack
 from repro.config import tiny_machine
 from repro.defenses.alis import AlisDefense
-from repro.defenses.base import boot_kernel
+from repro.defenses import boot_kernel
 from repro.errors import DefenseError, TemplatingError
 from repro.kernel.devices import SgDevice
 from repro.kernel.physmem import FrameUse

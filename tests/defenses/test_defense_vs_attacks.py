@@ -16,7 +16,7 @@ from repro.attacks.memory_spray import MemorySprayAttack
 from repro.attacks.pthammer import PthammerSprayAttack
 from repro.config import tiny_machine
 from repro.defenses.anvil import AnvilDefense
-from repro.defenses.base import NoDefense, SoftTrrDefense, boot_kernel
+from repro.defenses import NoDefense, SoftTrrDefense, boot_kernel
 from repro.defenses.catt import CattDefense
 from repro.defenses.cta import CtaDefense
 from repro.defenses.zebram import ZebramDefense

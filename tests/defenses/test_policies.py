@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import tiny_machine
 from repro.defenses.anvil import AnvilDefense
-from repro.defenses.base import DEFENSES, NoDefense, boot_kernel
+from repro.defenses import DEFENSES, NoDefense, boot_kernel
 from repro.defenses.catt import CattDefense
 from repro.defenses.cta import CtaDefense
 from repro.defenses.zebram import ZebramDefense

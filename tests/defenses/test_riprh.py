@@ -5,7 +5,7 @@ import pytest
 
 from repro.attacks.hammer import HammerKit
 from repro.config import tiny_machine
-from repro.defenses.base import boot_kernel
+from repro.defenses import boot_kernel
 from repro.defenses.riprh import RipRhDefense
 from repro.kernel.physmem import FrameUse
 from repro.kernel.vma import PAGE

@@ -88,6 +88,10 @@ class TestWindowRunner:
         with pytest.raises(ConfigError, match="unknown window pattern"):
             run_window_cell("sideways")
 
+    def test_rounds_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="rounds >= 1"):
+            run_window_cell("one_sided", rounds=0)
+
 
 class TestScenarioRunner:
     def test_materialise_applies_axis_overrides(self):

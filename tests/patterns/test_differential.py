@@ -5,9 +5,9 @@ backend.  So a compiled plan run through :class:`AttackProgram` —
 batched or scalar, dense or dict-keyed reference store — must be
 bit-identical to a hand-written scalar replay of the same plan:
 identical FlipEvents, counters, simulated nanoseconds and telemetry,
-under strict sanitizers.  Plus: the DSL double-sided pattern reproduces
-the legacy zoo double-sided loop's FlipEvent stream, and a mid-pattern
-snapshot/restore replays the remaining steps identically.
+under strict sanitizers.  Plus: the DSL sided patterns reproduce the
+legacy hand-written round-robin hammer loop's FlipEvent stream, and a
+mid-pattern snapshot/restore replays the remaining steps identically.
 """
 
 import pytest
@@ -107,35 +107,49 @@ def test_batched_equals_scalar_under_feed_trackers(defense, dense):
     assert prints[False] == prints[True]
 
 
-def test_dsl_double_sided_matches_legacy_attack_stream():
-    """Acceptance bar: the DSL-authored double-sided pattern reproduces
-    the legacy zoo double-sided loop's FlipEvent stream bit-identically
-    on the same machine seed."""
-    from repro.analysis.zoo import _PATTERN_MARGIN, _PATTERN_ROUNDS
+@pytest.mark.parametrize("pattern",
+                         ["one_sided", "double_sided", "many_sided"],
+                         ids=["1", "2", "8"])
+@pytest.mark.parametrize("defense",
+                         ["vanilla", "chiptrr", "misra_gries", "softtrr"])
+def test_dsl_double_sided_matches_legacy_attack_stream(defense, pattern):
+    """Acceptance bar: the DSL-authored sided patterns every zoo and
+    window cell hammers with reproduce the legacy hand-written
+    round-robin loop bit-identically on the same machine seed: FlipEvent
+    stream, activations, refreshes and simulated nanoseconds."""
+    from repro.analysis.zoo import (
+        _PATTERN_MARGIN,
+        _PATTERN_OFFSETS,
+        _PATTERN_ROUNDS,
+        hammer_sided,
+    )
 
-    legacy = build()
+    # The oracle: the loop the zoo and the window runner used to run.
+    legacy = build(defense=defense)
     bank, victim, threshold = legacy.dram.engine.cheapest_victim(
         _PATTERN_MARGIN)
     per_round = max(1, int(1.5 * threshold) // _PATTERN_ROUNDS)
     dram = legacy.dram
     aggressors = [dram.mapping.dram_to_phys(bank, victim + off, 0)
-                  for off in (-1, 1)]
+                  for off in _PATTERN_OFFSETS[pattern]]
     for _ in range(_PATTERN_ROUNDS):
         for paddr in aggressors:
             dram.hammer(paddr, per_round)
 
-    authored = build()
-    plan = compile_pattern(
-        sided_pattern(2),
-        {"victim": 0, "rounds": _PATTERN_ROUNDS, "acts": per_round},
-    ).remap_targets({(0, off): (bank, victim + off) for off in (-1, 1)})
-    AttackProgram(plan, mode="rows").run(authored.kernel)
+    authored = build(defense=defense)
+    fields, _outcome = hammer_sided(authored, pattern)
 
+    assert fields["victim"] == [bank, victim]
+    assert fields["acts_per_aggressor"] == per_round * _PATTERN_ROUNDS
     assert tuple(legacy.dram.flip_log) == tuple(authored.dram.flip_log)
-    assert legacy.dram.flip_log, "the double-sided stream must flip"
+    assert fields["flip_events"] == len(legacy.dram.flip_log)
     assert (legacy.dram.total_activations
             == authored.dram.total_activations)
+    assert (legacy.dram.actuator.refreshes
+            == authored.dram.actuator.refreshes)
     assert legacy.clock.now_ns == authored.clock.now_ns
+    if defense == "vanilla":
+        assert legacy.dram.flip_log, "the vanilla stream must flip"
 
 
 @pytest.mark.parametrize("dense", [False, True])

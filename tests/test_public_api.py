@@ -78,6 +78,9 @@ class TestSubpackageFacades:
         assert all((AlisDefense, AnvilDefense, CattDefense, CtaDefense,
                     RipRhDefense, SoftTrrDefense, ZebramDefense,
                     boot_kernel))
+        from repro.machine import boot_kernel as machine_boot_kernel
+        # One compatibility shim, re-exported rather than copied.
+        assert boot_kernel is machine_boot_kernel
 
     def test_workloads_facade(self):
         from repro.workloads import (
