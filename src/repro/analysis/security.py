@@ -17,7 +17,7 @@ the registry is the one place the grids and their knobs live.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List
+from typing import List, Optional
 
 from ..config import machine as machine_spec
 
@@ -44,7 +44,8 @@ class Table2Row:
 
 def _run_group(group: str, **overrides) -> list:
     """``(spec, payload)`` per registry cell of ``group``, with
-    ``overrides`` applied to each cell's params."""
+    ``overrides`` applied to each cell's params (``None`` keeps the
+    cell's own value)."""
     # Imported here: the registry imports analysis.zoo, and so this
     # package, at module level.
     from ..scenarios.registry import scenario_group
@@ -52,14 +53,20 @@ def _run_group(group: str, **overrides) -> list:
 
     out = []
     for spec in scenario_group(group):
-        spec = replace(spec, params={**spec.params, **overrides})
+        spec = replace(spec, params={
+            **spec.params,
+            **{k: v for k, v in overrides.items() if v is not None}})
         out.append((spec, run_scenario(spec).payload))
     return out
 
 
-def run_table2(m: int = 2, region_pages: int = 320,
-               template_rounds: int = 22_000) -> List[Table2Row]:
-    """Regenerate Table II (scaled: m victims per attack)."""
+def run_table2(m: int = 2, region_pages: Optional[int] = 320,
+               template_rounds: Optional[int] = 22_000) -> List[Table2Row]:
+    """Regenerate Table II (scaled: m victims per attack).
+
+    ``None`` for ``region_pages`` / ``template_rounds`` runs the
+    registry cells' own values.
+    """
     cells = _run_group("table2", m=m, region_pages=region_pages,
                        template_rounds=template_rounds)
     rows: List[Table2Row] = []

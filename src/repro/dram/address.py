@@ -385,6 +385,9 @@ class AddressMapping:
         return seen
 
 
+# The two profile mappings are frozen and pure in the geometry, so each
+# geometry compiles its mapping once per process and machines share it.
+@lru_cache(maxsize=32)
 def linear_mapping(geometry: DramGeometry) -> AddressMapping:
     """The simplest sane mapping: column low, bank middle, row high.
 
@@ -408,6 +411,7 @@ def linear_mapping(geometry: DramGeometry) -> AddressMapping:
     )
 
 
+@lru_cache(maxsize=32)
 def interleaved_mapping(geometry: DramGeometry) -> AddressMapping:
     """A mapping whose lowest bank bit is physical bit 6.
 

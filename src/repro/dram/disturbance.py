@@ -28,11 +28,13 @@ paper's design explicitly targets (Section III-A):
 All randomness (which rows have vulnerable cells, where, and how hard
 they are) is a pure function of ``(seed, bank, row)``, so every machine
 profile has a stable, reproducible flip map — the property templating
-and the security evaluation depend on.
+and the security evaluation depend on.  Being pure, the map is derived
+once per process: engines with equal params and geometry share one
+:class:`CellMap`.
 
 :class:`DisturbanceCore` (this module) holds the parts of the model
-that do not depend on how accumulators are stored: the deterministic
-cell map, the victim plans and the counters.  The simulator's one
+that do not depend on how accumulators are stored: the handle on the
+shared cell map, the victim plans and the counters.  The simulator's one
 accumulator store, :class:`~repro.dram.dense.DenseDisturbanceEngine`,
 derives from it.  The test suite keeps an independent dict-keyed store
 on the same core as its reference model and checks the two observably
@@ -42,6 +44,7 @@ identical (``tests/perf/test_generative_differential.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import ConfigError
@@ -126,12 +129,54 @@ class DisturbanceParams:
         return self.distance_decay ** (distance - 1)
 
 
+class CellMap:
+    """The vulnerable-cell map of one ``(params, geometry)``.
+
+    Every row's cells are a pure function of ``(params, row_bytes,
+    bank, row)``, so all engines built from equal params and geometry
+    read one map, handed out by :func:`shared_cell_map`.  It fills
+    lazily: :meth:`DisturbanceCore.vulnerable_cells` stores exactly what
+    its derivation returns and :meth:`DisturbanceCore.cheapest_victim`
+    its scan result, and nothing else writes to it.  Being pure, the
+    map is never copied: ``deepcopy`` returns it and a pickle carries
+    only its key.
+    """
+
+    __slots__ = ("params", "geometry", "cells", "vulnerable", "cheapest")
+
+    def __init__(self, params: DisturbanceParams,
+                 geometry: DramGeometry) -> None:
+        self.params = params
+        self.geometry = geometry
+        #: (bank, row) -> tuple of VulnerableCell, derived on first use.
+        self.cells: Dict[Tuple[int, int], Tuple[VulnerableCell, ...]] = {}
+        #: Keys of rows known to have at least one cell: a cheap set the
+        #: batched paths probe instead of re-deriving cell tuples.
+        self.vulnerable: Set[Tuple[int, int]] = set()
+        #: margin -> the (bank, row, threshold) cheapest_victim found.
+        self.cheapest: Dict[int, Tuple[int, int, float]] = {}
+
+    def __deepcopy__(self, memo) -> "CellMap":
+        return self
+
+    def __reduce__(self):
+        return (shared_cell_map, (self.params, self.geometry))
+
+
+@lru_cache(maxsize=32)
+def shared_cell_map(params: DisturbanceParams,
+                    geometry: DramGeometry) -> CellMap:
+    """This process's one :class:`CellMap` for ``(params, geometry)``."""
+    return CellMap(params, geometry)
+
+
 class DisturbanceCore:
     """Store-independent skeleton of a disturbance engine.
 
-    Owns everything that is *not* the accumulator store: the
-    deterministic vulnerable-cell map, the cached per-aggressor victim
-    plans, and the two counters the telemetry layer samples.  A store
+    Owns everything that is *not* the accumulator store: a handle on
+    the shared vulnerable-cell map (:class:`CellMap`), the cached
+    per-aggressor victim plans (per engine: they follow the remap), and
+    the two counters the telemetry layer samples.  A store
     adds ``deposit``, ``heal``, ``accumulated``,
     ``vulnerable_accumulated`` and the batched ``hammer_kernel`` /
     ``hammer_periodic`` that :class:`~repro.dram.module.DramModule`
@@ -149,11 +194,7 @@ class DisturbanceCore:
         #: adjacency, so victims of an activation are the logical rows
         #: whose physical positions flank the activated row.
         self.remap = remap or IdentityRemap(geometry.rows_per_bank)
-        # (bank, row) -> tuple of VulnerableCell (lazily generated, cached)
-        self._cells: Dict[Tuple[int, int], Tuple[VulnerableCell, ...]] = {}
-        # Keys of rows known to have at least one cell: a cheap set the
-        # batched paths probe instead of re-deriving cell tuples.
-        self._vulnerable: Set[Tuple[int, int]] = set()
+        self.cell_map = shared_cell_map(params, geometry)
         # (bank, row) -> cached victim plan (see victim_plan()).
         self._plans: Dict[
             Tuple[int, int],
@@ -166,7 +207,7 @@ class DisturbanceCore:
     def vulnerable_cells(self, bank: int, row: int) -> Tuple[VulnerableCell, ...]:
         """The (deterministic) vulnerable cells of a row."""
         key = (bank, row)
-        cached = self._cells.get(key)
+        cached = self.cell_map.cells.get(key)
         if cached is not None:
             return cached
         rng = derive_rng("cells", self.params.seed, bank, row)
@@ -188,17 +229,18 @@ class DisturbanceCore:
                 )
             cells.sort(key=lambda c: c.threshold)
         result = tuple(cells)
-        self._cells[key] = result
+        self.cell_map.cells[key] = result
         if result:
-            self._vulnerable.add(key)
+            self.cell_map.vulnerable.add(key)
         return result
 
     def is_vulnerable(self, bank: int, row: int) -> bool:
         """Whether the row has any flippable cell."""
         key = (bank, row)
-        if key in self._vulnerable:
+        cell_map = self.cell_map
+        if key in cell_map.vulnerable:
             return True
-        if key in self._cells:
+        if key in cell_map.cells:
             return False
         return bool(self.vulnerable_cells(bank, row))
 
@@ -212,9 +254,12 @@ class DisturbanceCore:
 
         Rows within ``margin`` of a bank edge are skipped so a pattern
         with offsets up to ``margin`` fits around the victim; ties go
-        to the lowest (bank, row).
+        to the lowest (bank, row).  The result is remembered on the
+        shared cell map; a failed scan is not, so it raises every time.
         """
-        best = None
+        best = self.cell_map.cheapest.get(margin)
+        if best is not None:
+            return best
         for bank in range(self.geometry.num_banks):
             for row in range(margin, self.geometry.rows_per_bank - margin):
                 cells = self.vulnerable_cells(bank, row)
@@ -222,6 +267,7 @@ class DisturbanceCore:
                     best = (bank, row, cells[0].threshold)
         if best is None:
             raise ConfigError("machine seed produced no vulnerable rows")
+        self.cell_map.cheapest[margin] = best
         return best
 
     def victim_plan(

@@ -68,6 +68,17 @@ class TestTable2Fold:
         assert [row.softtrr_flipped_pages for row in rows] == [0, 0, 1]
         assert [row.softtrr_pt_flip_events for row in rows] == [0, 0, 3]
 
+    def test_none_keeps_the_registry_knobs(self, canned):
+        from repro.scenarios.registry import scenario_group
+
+        calls = canned(lambda spec: _attack_payload(
+            [], softtrr_loaded=spec.defense == "softtrr"))
+        run_table2(m=1, region_pages=None, template_rounds=None)
+        registry = {spec.name: spec.params
+                    for spec in scenario_group("table2")}
+        for spec in calls:
+            assert spec.params == {**registry[spec.name], "m": 1}
+
 
 class TestBaselineMatrixFold:
     def test_details_from_payload_or_flip_count(self, canned):

@@ -1,7 +1,13 @@
 """Zoo sweep harness: specs, summarisation, live cells, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.analysis.zoo import (
     DEFAULT_SEED,
     PATTERNS,
@@ -128,3 +134,20 @@ class TestLiveCells:
         serial = run_sweep(specs, workers=1)
         parallel = run_sweep(specs, workers=2)
         assert results_to_json(serial) == results_to_json(parallel)
+
+
+class TestCli:
+    def test_module_runs_once_without_warnings(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.analysis.zoo_cli", "--help"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "repro-zoo" in done.stdout
+        # The package imports repro.analysis.zoo while it loads; were
+        # the CLI there, runpy would execute that module twice and print
+        # a RuntimeWarning.
+        assert done.stderr == ""

@@ -181,3 +181,27 @@ class TestHelpers:
         # Interleaved row holds halves of several pages.
         for ppn in pages:
             assert (0, 17) in mapping.page_rows(ppn)
+
+
+class TestProfileMappingsShared:
+    """Each geometry compiles its profile mapping once per process."""
+
+    @pytest.mark.parametrize("build", [linear_mapping, interleaved_mapping])
+    def test_equal_geometries_share_one_mapping(self, build):
+        mapping = build(geo())
+        assert build(DramGeometry(num_banks=8, rows_per_bank=64,
+                                  row_bytes=8192)) is mapping
+        assert build(big_geo()) is not mapping
+
+    def test_machines_share_their_mapping(self):
+        from repro.machine import Machine
+
+        first, second = Machine(machine="tiny"), Machine(machine="tiny")
+        assert first.dram.mapping is second.dram.mapping
+
+    def test_invalid_geometry_raises_every_time(self):
+        one_bank = DramGeometry(num_banks=1, rows_per_bank=64,
+                                row_bytes=8192)
+        for _ in range(2):
+            with pytest.raises(AddressMappingError):
+                interleaved_mapping(one_bank)

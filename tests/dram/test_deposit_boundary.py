@@ -23,6 +23,7 @@ from repro.dram.disturbance import (
 )
 from repro.dram.geometry import DramGeometry
 
+from ..cell_maps import inject_cells
 from ..reference_disturbance import ReferenceDisturbanceEngine
 
 
@@ -40,15 +41,6 @@ def make_engine(engine_cls, vuln_probability=0.0):
         seed=3,
     )
     return engine_cls(geometry, params)
-
-
-def inject_cells(engine, bank, row, cells):
-    """Install a hand-built cell map for one row (tests only)."""
-    key = (bank, row)
-    engine._cells[key] = tuple(cells)
-    if cells:
-        engine._vulnerable.add(key)
-    return key
 
 
 class TestCrossesPredicate:
@@ -158,7 +150,7 @@ class TestDepositBatchBoundary:
         assert engine.deposit_batch(0, 5, 2.0, 5, epoch=0, now_ns=0) == []
         assert engine.accumulated(0, 5, 0) == 10.0
         assert engine.total_deposits == 5
-        assert key not in engine._vulnerable
+        assert key not in engine.cell_map.vulnerable
 
     @pytest.mark.parametrize("units,count", [(0.0, 5), (-1.0, 5),
                                              (1.0, 0), (1.0, -2)])

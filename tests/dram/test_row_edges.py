@@ -17,6 +17,7 @@ from repro.dram.disturbance import (
 from repro.dram.geometry import DramGeometry
 from repro.machine import Machine
 
+from ..cell_maps import inject_cells
 from ..reference_disturbance import (
     STORES,
     ReferenceDisturbanceEngine,
@@ -40,13 +41,6 @@ def make_engine(engine_cls):
     params = DisturbanceParams(base_flip_threshold=1000.0,
                                row_vuln_probability=0.0, seed=3)
     return engine_cls(geometry, params)
-
-
-def inject_cells(engine, bank, row, cells):
-    key = (bank, row)
-    engine._cells[key] = tuple(cells)
-    if cells:
-        engine._vulnerable.add(key)
 
 
 class TestEdgeRowActivation:

@@ -63,3 +63,4 @@ def test_defeat_attacks(capsys):
     out = capsys.readouterr().out
     assert out.count("DEFEATED") == 3
     assert "NOT stopped" not in out
+    assert out.count("vanilla kernel: 1/1 L1PT pages corrupted") == 3
